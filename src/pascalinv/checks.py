@@ -53,17 +53,17 @@ class CheckResult:
 def _random_finsupp(rng: random.Random, max_len: int = 8) -> FinSupp:
     n = rng.randint(1, max_len)
     terms = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)]
-    return FinSupp(tuple(terms))
+    return FinSupp(terms)
 
 
-def _result(name, cfg, passed, detail=""):
+def _result(name, passed, detail=""):
     return name, passed, detail
 
 
 def check_pd_involution(cfg: RunConfig):
     s = cfg.depth
     ok = truncate(op_power(pd(), 2), s, s) == DenseMat.identity(s)
-    return _result("pd-involution", cfg, ok)
+    return _result("pd-involution", ok)
 
 
 def check_pascal_inverse(cfg: RunConfig):
@@ -73,7 +73,7 @@ def check_pascal_inverse(cfg: RunConfig):
     dpd = compose(d, compose(p, d))
     ok = truncate(compose(dpd, p), s, s) == DenseMat.identity(s)
     ok = ok and truncate(compose(p, dpd), s, s) == DenseMat.identity(s)
-    return _result("pascal-inverse", cfg, ok)
+    return _result("pascal-inverse", ok)
 
 
 def check_ptd_involution(cfg: RunConfig):
@@ -86,7 +86,7 @@ def check_ptd_involution(cfg: RunConfig):
         if twice != x:
             ok = False
             break
-    return _result("ptd-involution", cfg, ok)
+    return _result("ptd-involution", ok)
 
 
 def check_binomial_involution(cfg: RunConfig):
@@ -95,12 +95,12 @@ def check_binomial_involution(cfg: RunConfig):
     ok = True
     for _ in range(20):
         x = _random_finsupp(rng)
-        once = FinSupp(tuple(apply_finite(op, x, cfg.depth)))
+        once = FinSupp(apply_finite(op, x, cfg.depth))
         twice = apply_finite(op, once, cfg.depth)
         if twice != prefix(x, cfg.depth):
             ok = False
             break
-    return _result("binomial-involution", cfg, ok)
+    return _result("binomial-involution", ok)
 
 
 def check_nm_identity(cfg: RunConfig):
@@ -109,12 +109,12 @@ def check_nm_identity(cfg: RunConfig):
     ident = DenseMat.identity(s)
     ok = truncate(compose(n_op, m_op), s, s) == ident
     ok = ok and truncate(compose(m_op, n_op), s, s) == ident
-    return _result("NM-identity", cfg, ok)
+    return _result("NM-identity", ok)
 
 
 def check_block_diag(cfg: RunConfig):
     ok = all(eig.verify_block_diag(m) for m in range(1, min(8, cfg.depth // 2) + 1))
-    return _result("block-diag", cfg, ok)
+    return _result("block-diag", ok)
 
 
 def check_stabilization(cfg: RunConfig):
@@ -125,7 +125,7 @@ def check_stabilization(cfg: RunConfig):
             ok = False
         if truncate(eig.factor_chain("U", m), s, s) != truncate(eig.make_M(), s, s):
             ok = False
-    return _result("stabilization", cfg, ok)
+    return _result("stabilization", ok)
 
 
 def _eigen_pair(space: eig.EigenSpaceId, j: int, depth: int) -> bool:
@@ -146,7 +146,7 @@ def check_basis_eigen(cfg: RunConfig):
             for j in range(9):
                 if not _eigen_pair(space, j, cfg.depth):
                     ok = False
-    return _result("basis-eigen", cfg, ok)
+    return _result("basis-eigen", ok)
 
 
 _MATRIX_FORMS = {
@@ -167,7 +167,7 @@ def check_basis_matrix_agreement(cfg: RunConfig):
             col = [mat.entry(i, j) for i in range(cfg.depth)]
             if prefix(vec, cfg.depth) != col:
                 ok = False
-    return _result("basis-matrix-agreement", cfg, ok)
+    return _result("basis-matrix-agreement", ok)
 
 
 _TABLE1_B = [
@@ -189,7 +189,7 @@ def check_table1(cfg: RunConfig):
     ok = b == _TABLE1_B
     ok = ok and db == [(-1) ** n * v for n, v in enumerate(_TABLE1_B)]
     ok = ok and k == _TABLE1_K
-    return _result("table1", cfg, ok)
+    return _result("table1", ok)
 
 
 def check_transform_orbit(cfg: RunConfig):
@@ -202,7 +202,7 @@ def check_transform_orbit(cfg: RunConfig):
     ok = ok and prefix(tr.t42b(j0l, cfg.mode), dep) == prefix(j0f, dep)
     ok = ok and prefix(tr.t42c(AltBernoulli()), dep) == prefix(KSeq(), dep)
     ok = ok and prefix(tr.t42d(KSeq()), dep) == prefix(AltBernoulli(), dep)
-    return _result("transform-orbit", cfg, ok)
+    return _result("transform-orbit", ok)
 
 
 _POWER_COLUMN_CLASSES = {
@@ -224,7 +224,7 @@ def check_power_columns(cfg: RunConfig):
                 report = check_invariance(col, kind, cfg.depth, cfg.mode)
                 if report.verdict != wanted:
                     ok = False
-    return _result("power-columns", cfg, ok)
+    return _result("power-columns", ok)
 
 
 def check_orthogonality(cfg: RunConfig):
@@ -244,7 +244,7 @@ def check_orthogonality(cfg: RunConfig):
         y = eig.basis_vector(eig.EigenSpaceId(*space), 2)
         if not tr.converse_check(y, base, min(cfg.depth, 24)):
             ok = False
-    return _result("orthogonality", cfg, ok)
+    return _result("orthogonality", ok)
 
 
 def check_pipeline_classes(cfg: RunConfig):
@@ -268,7 +268,7 @@ def check_pipeline_classes(cfg: RunConfig):
                 report = check_invariance(y, kind, dep, cfg.mode)
                 if report.verdict != wanted and prefix(y, dep) != [0] * dep:
                     ok = False
-    return _result("pipeline-classes", cfg, ok)
+    return _result("pipeline-classes", ok)
 
 
 SUITES = {

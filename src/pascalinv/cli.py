@@ -13,7 +13,7 @@ import sys
 from . import checks, oeis
 from .errors import PascalinvError
 from .operators import make_operator, pd, ptd, truncate
-from .scalars import format_scalar, parse_scalar, scalar_to_json
+from .scalars import QuadExt, format_scalar, parse_scalar, scalar_to_json
 from .sequences import (
     AltBernoulli,
     Bernoulli,
@@ -63,9 +63,11 @@ def parse_sequence(text: str) -> Seq:
         inner = body[1:-1].strip()
         items = [t for t in inner.split(",") if t.strip()] if inner else []
         try:
-            return FinSupp(tuple(parse_scalar(t) for t in items))
+            terms = [parse_scalar(t) for t in items]
         except ValueError as exc:
             raise LiteralError(str(exc)) from exc
+        _check_one_field(terms)
+        return FinSupp(terms)
     if s.startswith("geom:"):
         body = s[len("geom:"):].strip()
         pairs = re.findall(r"\(([^()]*)\)", body)
@@ -81,8 +83,17 @@ def parse_sequence(text: str) -> Seq:
                 parsed.append((parse_scalar(bits[0]), parse_scalar(bits[1])))
             except ValueError as exc:
                 raise LiteralError(str(exc)) from exc
+        _check_one_field([x for pair in parsed for x in pair])
         return ExpComb(tuple(parsed))
     raise LiteralError(f"unknown sequence literal: {text!r}")
+
+
+def _check_one_field(scalars) -> None:
+    """Irrational scalars of one literal must share a quadratic field."""
+    roots = sorted({x.d for x in scalars if isinstance(x, QuadExt) and not x.is_rational})
+    if len(roots) > 1:
+        fields = " with ".join(f"Q(√{d})" for d in roots)
+        raise LiteralError(f"cannot mix {fields} in one sequence")
 
 
 _PIPE_TOKEN = re.compile(r"^(phi|phitilde|psi|psitilde)\((\d+)\)$")
@@ -134,7 +145,7 @@ def resolve_matrix(name: str):
         if base in ("J", "Jinv"):
             try:
                 return make_operator(base, parse_scalar(param))
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise LiteralError(str(exc)) from exc
     raise LiteralError(f"unknown matrix name: {name!r}")
 
@@ -196,6 +207,8 @@ def cmd_apply(args, cfg) -> int:
 
 
 def cmd_matrix(args, cfg) -> int:
+    if args.rows < 1 or args.cols < 1:
+        raise LiteralError("--rows and --cols must be >= 1")
     op = resolve_matrix(args.name)
     block = truncate(op, args.rows, args.cols)
     if cfg.format == "json":

@@ -172,10 +172,9 @@ def basis_vector(space: EigenSpaceId, j: int) -> Seq:
         raise ValueError("j must be >= 0")
     if space.operator == "PTD":
         if space.eigenvalue == 1:
-            return FinSupp((0,) * j + tuple(binomial(j, t) for t in range(j + 1)))
+            return FinSupp([0] * j + [binomial(j, t) for t in range(j + 1)])
         return FinSupp(
-            (0,) * j
-            + tuple(binomial(j + 1, t) + binomial(j, t - 1) for t in range(j + 2))
+            [0] * j + [binomial(j + 1, t) + binomial(j, t - 1) for t in range(j + 2)]
         )
     if space.eigenvalue == 1:
         return Lazy(

@@ -88,16 +88,18 @@ def _parse_matches(raw: bytes) -> list:
 
 
 def _fetch(query: str) -> bytes:
-    import requests
+    # imported here: urllib.request loads http.client, email and ssl, a cost
+    # every CLI start would otherwise pay for a feature few invocations use
+    import urllib.parse
+    import urllib.request
 
+    url = f"{SEARCH_URL}?{urllib.parse.urlencode({'q': query, 'fmt': 'json'})}"
     last = None
     for attempt in range(_RETRIES):
         try:
-            resp = requests.get(
-                SEARCH_URL, params={"q": query, "fmt": "json"}, timeout=10
-            )
-            resp.raise_for_status()
-            return resp.content
+            # urlopen raises HTTPError on any non-2xx status
+            with urllib.request.urlopen(url, timeout=10) as resp:
+                return resp.read()
         except Exception as exc:  # noqa: BLE001 - wrap any transport failure
             last = exc
             if attempt + 1 < _RETRIES:

@@ -116,7 +116,9 @@ def make_operator(name: str, param: Scalar | None = None) -> TriOp:
         return TriOp(banded(0, 1), j_entry, f"J({format_scalar(a)})", ("J", a))
     if name == "Jinv":
         a = param
-        ainv = _scalar_inverse(a)  # raises ZeroDivisionError for param 0
+        if a == 0:
+            raise ValueError("Jinv parameter must be nonzero")
+        ainv = _scalar_inverse(a)
 
         def jinv_entry(i, j, ainv=ainv):
             if i > j:
@@ -268,7 +270,10 @@ class DenseMat:
 
     @classmethod
     def from_rows(cls, rows) -> DenseMat:
-        data = tuple(tuple(row) for row in rows)
+        # built from a list: a tuple grown from a generator is resized in
+        # place, and each one freed that way parks in CPython's tuple free
+        # list for its final size, so resident memory climbs with every call
+        data = tuple([tuple(row) for row in rows])
         if not data or any(len(r) != len(data[0]) for r in data):
             raise ValueError("rows must be nonempty and rectangular")
         return cls(len(data), len(data[0]), data)

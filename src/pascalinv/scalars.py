@@ -256,6 +256,13 @@ _COMBINED = re.compile(
 )
 
 
+def _rational(text: str, literal: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar literal: {literal!r}") from None
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse literals like ``7``, ``-2/3``, ``√5``, ``1/2√5`` or ``3/2+1/2√5``.
 
@@ -264,19 +271,19 @@ def parse_scalar(text: str) -> Scalar:
     s = text.strip().replace(" ", "")
     m = _RAT_ONLY.match(s)
     if m:
-        return Fraction(s)
+        return _rational(s, text)
     m = _QUAD_ONLY.match(s)
     if m:
-        coef = Fraction(m.group("coef") or 1)
+        coef = _rational(m.group("coef") or "1", text)
         if m.group("sign") == "-":
             coef = -coef
         return QuadExt(0, coef, int(m.group("d")))
     m = _COMBINED.match(s)
     if m:
-        coef = Fraction(m.group("coef") or 1)
+        coef = _rational(m.group("coef") or "1", text)
         if m.group("sign") == "-":
             coef = -coef
-        return QuadExt(Fraction(m.group("rat")), coef, int(m.group("d")))
+        return QuadExt(_rational(m.group("rat"), text), coef, int(m.group("d")))
     raise ValueError(f"not a scalar literal: {text!r}")
 
 

@@ -64,12 +64,19 @@ def bernoulli_number(n: int) -> Fraction:
         return _BERNOULLI[n]
 
 
+_K: list[Fraction] = [Fraction(0)]
+_K_LOCK = threading.Lock()
+
+
 def k_number(n: int) -> Fraction:
-    if n == 0:
-        return Fraction(0)
-    return sum(
-        Fraction(1, 2 ** (n - k)) * (-1) ** k * bernoulli_number(k) for k in range(n)
-    )
+    """K_n from K_0 = 0 and K_{n+1} = (K_n + (-1)**n * B_n) / 2."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    with _K_LOCK:
+        while len(_K) <= n:
+            m = len(_K) - 1
+            _K.append((_K[m] + (-1) ** m * bernoulli_number(m)) / 2)
+        return _K[n]
 
 
 class Seq:
@@ -129,6 +136,16 @@ class ExpComb(Seq):
         for c, r in self.pairs:
             total += c * r**n
         return total
+
+    def prefix(self, depth):
+        # step c * r**n by one multiply per term; same values and types as term(n)
+        out = [0] * depth
+        for c, r in self.pairs:
+            w = c * r**0
+            for n in range(depth):
+                out[n] += w
+                w = w * r
+        return out
 
 
 def geometric(c: Scalar, r: Scalar) -> ExpComb:
@@ -197,16 +214,16 @@ def seq_scale(c: Scalar, seq: Seq) -> Seq:
     if c == 0:
         return FinSupp(())
     if isinstance(seq, FinSupp):
-        return FinSupp(tuple(c * t for t in seq.terms))
+        return FinSupp([c * t for t in seq.terms])
     if isinstance(seq, ExpComb):
-        return ExpComb(tuple((c * cc, r) for cc, r in seq.pairs))
+        return ExpComb([(c * cc, r) for cc, r in seq.pairs])
     return Lazy(lambda n: c * seq.term(n), label="scaled")
 
 
 def seq_add(x: Seq, y: Seq) -> Seq:
     if isinstance(x, FinSupp) and isinstance(y, FinSupp):
         n = max(len(x.terms), len(y.terms))
-        return FinSupp(tuple(x.term(i) + y.term(i) for i in range(n)))
+        return FinSupp([x.term(i) + y.term(i) for i in range(n)])
     if isinstance(x, ExpComb) and isinstance(y, ExpComb):
         return ExpComb(x.pairs + y.pairs)
     return Lazy(lambda n: x.term(n) + y.term(n), label="sum")
@@ -217,7 +234,7 @@ def shift_down(seq: Seq) -> Seq:
     if isinstance(seq, FinSupp):
         return FinSupp(seq.terms[1:])
     if isinstance(seq, ExpComb):
-        return ExpComb(tuple((c * r, r) for c, r in seq.pairs))
+        return ExpComb([(c * r, r) for c, r in seq.pairs])
     return Lazy(lambda n: seq.term(n + 1), label="shifted-down")
 
 
@@ -229,7 +246,7 @@ def shift_up(seq: Seq) -> Seq:
         # (c/r, r) is exact for n >= 1; it extends to n = 0 only when the
         # candidate value at 0 vanishes, otherwise fall back to an oracle
         if all(r != 0 for _, r in seq.pairs):
-            cand = ExpComb(tuple((exact_div(c, r), r) for c, r in seq.pairs))
+            cand = ExpComb([(exact_div(c, r), r) for c, r in seq.pairs])
             if cand.term(0) == 0:
                 return cand
     return Lazy(lambda n: 0 if n == 0 else seq.term(n - 1), label="shifted-up")
@@ -248,9 +265,9 @@ def difference(seq: Seq, k: int = 1) -> Seq:
 def _difference_once(seq: Seq) -> Seq:
     if isinstance(seq, FinSupp):
         ts = seq.terms
-        return FinSupp(tuple(seq.term(i + 1) - seq.term(i) for i in range(len(ts))))
+        return FinSupp([seq.term(i + 1) - seq.term(i) for i in range(len(ts))])
     if isinstance(seq, ExpComb):
-        return ExpComb(tuple((c * (r - 1), r) for c, r in seq.pairs))
+        return ExpComb([(c * (r - 1), r) for c, r in seq.pairs])
     return Lazy(lambda n: seq.term(n + 1) - seq.term(n), label="difference")
 
 
@@ -258,32 +275,49 @@ def newton_reconstruct(seq: Seq, depth: int) -> list:
     """Rebuild the prefix from iterated difference heads via sum_k D^k a_0 * C(n, k)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    row = prefix(seq, depth)
-    heads = []
-    for _ in range(depth):
-        heads.append(row[0])
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
+    heads = _difference_heads(prefix(seq, depth))
     return [
         sum(heads[k] * binomial(n, k) for k in range(n + 1)) for n in range(depth)
     ]
+
+
+def _difference_heads(row: list) -> list:
+    """Heads Δ^n row_0 of the forward-difference table, n < len(row)."""
+    heads = []
+    while row:
+        heads.append(row[0])
+        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
+    return heads
 
 
 def apply_finite(op: TriOp, seq: Seq, depth: int) -> list:
     """Exact prefix (y_0, ..., y_{depth-1}) of op applied to seq.
 
     Requires a finite lookahead: op.band.above must be finite, so every entry
-    of the result is a finite sum.
+    of the result is a finite sum.  Each input term is evaluated once.
     """
     if op.band.above is None:
         raise InfiniteSumError(
             f"{op.label} has unbounded upper band; use apply_upper"
         )
-    below = op.band.below
+    xs = seq.prefix(depth + op.band.above) if depth > 0 else []
+    return _row_sums(op, xs, depth)
+
+
+def _row_sums(op: TriOp, xs: list, depth: int) -> list:
+    """Rows 0..depth-1 of op times a prefix xs that covers every row's lookahead.
+
+    Row n of PD is sum_k C(n, k) (-1)**k x_k = (-1)**n Δ^n x_0, read off the
+    forward-difference table with subtractions only.
+    """
+    if op.tag == ("PD",):
+        heads = _difference_heads(xs[:depth])
+        return [h if n % 2 == 0 else -h for n, h in enumerate(heads)]
+    below, above, entry = op.band.below, op.band.above, op.entry
     out = []
     for i in range(depth):
         lo = 0 if below is None else max(0, i - below)
-        hi = i + op.band.above
-        out.append(sum(op.entry(i, k) * seq.term(k) for k in range(lo, hi + 1)))
+        out.append(sum(entry(i, k) * xs[k] for k in range(lo, i + above + 1)))
     return out
 
 
@@ -315,13 +349,13 @@ def apply_upper(op: TriOp, seq: Seq, mode: str = CONTINUED) -> Seq:
             terms.append(
                 sum(op.entry(n, k) * seq.terms[k] for k in range(lo, bound))
             )
-        return FinSupp(tuple(terms))
+        return FinSupp(terms)
     if isinstance(seq, ExpComb):
         if op.tag == ("PTD",):
-            return ExpComb(tuple(_ptd_pair(c, r, mode) for c, r in seq.pairs))
+            return ExpComb([_ptd_pair(c, r, mode) for c, r in seq.pairs])
         if op.tag and op.tag[0] == "Jinv":
             a = op.tag[1]
-            return ExpComb(tuple(_jinv_pair(c, r, a, mode) for c, r in seq.pairs))
+            return ExpComb([_jinv_pair(c, r, a, mode) for c, r in seq.pairs])
         raise UnsupportedSequenceError(
             f"no geometric closed rule for {op.label}"
         )
@@ -363,7 +397,7 @@ def _apply_banded(op: TriOp, seq: Seq) -> Seq:
             lo = max(0, n - band.below)
             hi = min(n + band.above, bound - 1)
             terms.append(sum(op.entry(n, k) * seq.terms[k] for k in range(lo, hi + 1)))
-        return FinSupp(tuple(terms))
+        return FinSupp(terms)
 
     def oracle(n):
         lo = 0 if band.below is None else max(0, n - band.below)
@@ -398,7 +432,8 @@ def check_invariance(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if kind == FIRST:
-        transformed = apply_finite(pd(), seq, depth)
+        original = prefix(seq, depth)
+        transformed = _row_sums(pd(), original, depth)
         report_mode = "exact-finite"
     else:
         if not isinstance(seq, (FinSupp, ExpComb)):
@@ -406,12 +441,12 @@ def check_invariance(
                 "second-kind checks need finitely supported or geometric input"
             )
         transformed = apply_upper(ptd(), seq, mode).prefix(depth)
+        original = prefix(seq, depth)
         if isinstance(seq, FinSupp):
             report_mode = "exact-finite"
         else:
             report_mode = "closed-form" if mode == CONTINUED else "classical-partial-sum"
 
-    original = prefix(seq, depth)
     plus_ok = True
     minus_ok = True
     failure = None

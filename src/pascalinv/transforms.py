@@ -58,7 +58,7 @@ def t42c(x: Seq) -> Seq:
             out.append((w, r))
             spill = spill + w
         out.append((-spill, half))
-        return ExpComb(tuple(out))
+        return ExpComb(out)
 
     def oracle(n):
         return sum(Fraction(1, 2 ** (n - k)) * x.term(k) for k in range(n))
@@ -122,10 +122,10 @@ def _matrix_stage(name, op_factory, sets, finsupp_rows=None) -> Stage:
             bound = seq.support_bound
             rows = finsupp_rows(bound)
             return FinSupp(
-                tuple(
+                [
                     sum(op.entry(n, t) * seq.terms[t] for t in range(min(bound, n + 1)))
                     for n in range(rows)
-                )
+                ]
             )
 
         def oracle(n):
@@ -200,12 +200,11 @@ _POWER_BASES = {
 }
 
 
-def power_column(base: str, n: int, j: int, depth: Optional[int] = None) -> Seq:
+def power_column(base: str, n: int, j: int) -> Seq:
     """Column j of the n-th power of P+D, P-D, PT+D or PT-D.
 
     Transposed bases give finitely supported columns; the others give exact
-    lazy oracles (``depth`` is accepted for interface symmetry but the oracle
-    is exact at every index).
+    lazy oracles.
     """
     if base not in _POWER_BASES:
         raise ValueError(f"base must be one of {sorted(_POWER_BASES)}")
@@ -216,7 +215,7 @@ def power_column(base: str, n: int, j: int, depth: Optional[int] = None) -> Seq:
     factory, kind, _ = _POWER_BASES[base]
     X = op_power(factory(), n)
     if kind == SECOND:
-        return FinSupp(tuple(X.entry(i, j) for i in range(j + 1)))
+        return FinSupp([X.entry(i, j) for i in range(j + 1)])
     return Lazy(lambda i: X.entry(i, j), label=f"({base})^{n} col {j}")
 
 

@@ -191,3 +191,25 @@ def test_gen_deterministic(capsys):
 def test_depth_validation(capsys):
     code, _, err = run(capsys, "gen", "fib", "--depth", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("matrix", "P", "--rows", "0"), "--rows and --cols must be >= 1"),
+        (("gen", "geom:(1,sqrt2)+(1,sqrt3)"), "cannot mix Q(√2) with Q(√3)"),
+        (("check", "geom:(1,sqrt2)+(1,sqrt3)", "--kind", "first"), "cannot mix"),
+        (("check", "geom:(sqrt2,1/2)+(sqrt3,1/3)", "--kind", "first"), "cannot mix"),
+        (("check", "finsupp:[sqrt2,sqrt3]", "--kind", "first"), "cannot mix"),
+        (("matrix", "Jinv:0"), "Jinv parameter must be nonzero"),
+        (("matrix", "Jinv:1/0"), "zero denominator"),
+        (("gen", "finsupp:[1/0]"), "zero denominator"),
+    ],
+)
+def test_invalid_input_is_a_clean_parse_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err and "Fraction(" not in err

@@ -97,3 +97,20 @@ def test_cli_oeis_offline(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 2
     assert "non-integer" in err
+
+
+def test_fetch_retries_then_wraps_transport_failure(monkeypatch):
+    import urllib.request
+
+    attempts = []
+
+    def refuse(url, timeout):
+        attempts.append(url)
+        raise OSError("connection refused")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    monkeypatch.setattr(oeis, "_BACKOFF_S", 0)
+    with pytest.raises(oeis.NetworkError, match="connection refused"):
+        oeis._fetch("2,1,3,4")
+    assert len(attempts) == oeis._RETRIES
+    assert attempts[0] == oeis.SEARCH_URL + "?q=2%2C1%2C3%2C4&fmt=json"

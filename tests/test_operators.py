@@ -65,7 +65,7 @@ def test_jinv_inverts_j():
 
 
 def test_jinv_requires_nonzero_param():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="nonzero"):
         make_operator("Jinv", 0)
     with pytest.raises(ValueError):
         make_operator("J")

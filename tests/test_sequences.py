@@ -1,3 +1,5 @@
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -297,3 +299,99 @@ def test_bernoulli_and_k_values():
     assert k_number(0) == 0
     assert k_number(4) == Fraction(1, 6)
     assert k_number(12) == Fraction(41, 2310)
+
+
+def brute_pd_rows(xs):
+    return [
+        sum(binomial(n, k) * (-1) ** k * xs[k] for k in range(n + 1))
+        for n in range(len(xs))
+    ]
+
+
+KERNEL_INPUTS = [
+    FinSupp((3, Fraction(-1, 2), 0, 7)),
+    ExpComb(((Fraction(2), Fraction(1, 3)), (Fraction(-1, 5), Fraction(-2)), (1, 0))),
+    ExpComb(((Fraction(3, 2), TAU1), (QuadExt(1, 2, 5), TAU2), (Fraction(1), Fraction(1, 2)))),
+    Lazy(lambda n: Fraction(n * n - 3, n + 1), label="rational oracle"),
+]
+
+
+@pytest.mark.parametrize("seq", KERNEL_INPUTS, ids=["finsupp", "rational", "quadratic", "lazy"])
+def test_apply_finite_pd_matches_binomial_row_sums(seq):
+    dep = 24
+    xs = [seq.term(n) for n in range(dep)]
+    assert apply_finite(pd(), seq, dep) == brute_pd_rows(xs)
+    assert apply_finite(pd(), seq, 0) == []
+
+
+def test_apply_finite_banded_lookahead_matches_entries():
+    op = make_operator("J", Fraction(-3, 2))
+    seq = KERNEL_INPUTS[2]
+    want = [Fraction(-3, 2) * seq.term(n) + seq.term(n + 1) for n in range(12)]
+    assert apply_finite(op, seq, 12) == want
+
+
+@pytest.mark.parametrize(
+    "seq", KERNEL_INPUTS[1:3] + [lucas(), fibonacci(), geometric(5, 0), ExpComb(())]
+)
+def test_expcomb_prefix_steps_to_the_same_terms(seq):
+    got = seq.prefix(40)
+    want = [seq.term(n) for n in range(40)]
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@dataclass(frozen=True, eq=False)
+class CountingLazy(Lazy):
+    """Lazy oracle that records how often each index is requested."""
+
+    calls: Counter = field(default_factory=Counter, repr=False)
+
+    def term(self, n):
+        self.calls[n] += 1
+        return super().term(n)
+
+
+def test_kernels_evaluate_each_index_once():
+    seq = CountingLazy(lambda n: Fraction(1, n + 1))
+    apply_finite(pd(), seq, 20)
+    assert sorted(seq.calls) == list(range(20))
+    assert max(seq.calls.values()) == 1
+
+    seq = CountingLazy(lambda n: Fraction(1, n + 1))
+    apply_finite(make_operator("J", 2), seq, 20)
+    assert sorted(seq.calls) == list(range(21))
+    assert max(seq.calls.values()) == 1
+
+    fib = fibonacci()
+    seq = CountingLazy(lambda n: n * fib.term(n - 1) if n else 0)
+    assert check_invariance(seq, "first", 32).verdict == "invariant"
+    assert sorted(seq.calls) == list(range(32))
+    assert max(seq.calls.values()) == 1
+
+
+def test_k_number_matches_defining_sum():
+    for n in range(61):
+        want = sum(
+            Fraction(1, 2 ** (n - k)) * (-1) ** k * bernoulli_number(k) for k in range(n)
+        )
+        assert k_number(n) == want
+    with pytest.raises(ValueError):
+        k_number(-1)
+
+
+def test_k_number_cache_is_thread_safe():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(k_number, n) for n in range(100, 164, 4) for _ in range(2)]
+            values = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert values[0::2] == values[1::2]
+    for n in range(1, 161):
+        assert k_number(n) == (k_number(n - 1) + (-1) ** (n - 1) * bernoulli_number(n - 1)) / 2
