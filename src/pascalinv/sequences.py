@@ -8,7 +8,7 @@ Sequence classes
 ``Bernoulli``    the Bernoulli numbers (B1 = -1/2 convention).
 ``AltBernoulli`` (-1)**n * B_n.
 ``KSeq``         K_0 = 0, K_n = sum_{k<n} (1/2)**(n-k) * (-1)**k * B_k.
-``Lazy``         an arbitrary exact term oracle.
+``Lazy``         an arbitrary exact term oracle or prefix rule.
 
 Applying a lower or banded operator to a sequence is a finite exact sum per
 term.  Applying an unbounded upper operator needs a summation rule: finitely
@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from math import lcm
 from typing import Callable, Optional
 
 from .errors import (
@@ -86,6 +87,12 @@ class Seq:
         raise NotImplementedError
 
     def prefix(self, depth: int) -> list:
+        """Terms 0..depth-1; subclasses with a faster path override ``_prefix``."""
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        return self._prefix(depth)
+
+    def _prefix(self, depth: int) -> list:
         return [self.term(n) for n in range(depth)]
 
 
@@ -137,7 +144,7 @@ class ExpComb(Seq):
             total += c * r**n
         return total
 
-    def prefix(self, depth):
+    def _prefix(self, depth):
         # step c * r**n by one multiply per term; same values and types as term(n)
         out = [0] * depth
         for c, r in self.pairs:
@@ -182,16 +189,51 @@ class KSeq(Seq):
 
 @dataclass(frozen=True, eq=False)
 class Lazy(Seq):
-    """Arbitrary exact term oracle; compares by identity, memoises per instance."""
+    """An exact sequence given by a term oracle or by a prefix rule.
 
-    oracle: Callable[[int], Scalar] = field(repr=False)
+    Give exactly one of ``oracle(n)``, one term, or ``rows(depth)``, the list
+    of terms 0..depth-1 at once.  Images built by this package give ``rows``,
+    so a prefix reads each input term once.  Compares by identity and keeps
+    the longest prefix computed so far (an oracle is also memoised per
+    index), so every term is computed once per instance.
+    """
+
+    oracle: Optional[Callable[[int], Scalar]] = field(default=None, repr=False)
     label: str = "lazy"
+    rows: Optional[Callable[[int], list]] = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_memo", lru_cache(maxsize=None)(self.oracle))
+        if (self.oracle is None) == (self.rows is None):
+            raise ValueError("Lazy needs exactly one of oracle and rows")
+        if self.oracle is not None:
+            object.__setattr__(self, "_memo", lru_cache(maxsize=None)(self.oracle))
+        object.__setattr__(self, "_head", [])
 
     def term(self, n):
-        return self._memo(n)
+        if self.rows is None:
+            return self._memo(n)
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        head = self._head
+        if n >= len(head):
+            # grow geometrically so that reading terms in order stays linear
+            head = self._extend(max(n + 1, 2 * len(head)))
+        return head[n]
+
+    def _prefix(self, depth):
+        head = self._head
+        if depth > len(head):
+            head = self._extend(depth)
+        return head[:depth]
+
+    def _extend(self, depth):
+        head = self._head
+        if self.rows is None:
+            head = head + [self.term(n) for n in range(len(head), depth)]
+        else:
+            head = self.rows(depth)
+        object.__setattr__(self, "_head", head)
+        return head
 
 
 def _describe(seq: Seq) -> str:
@@ -207,6 +249,7 @@ def term(seq: Seq, n: int) -> Scalar:
 
 
 def prefix(seq: Seq, depth: int) -> list:
+    """Terms 0..depth-1 of seq; a negative depth raises ``ValueError``."""
     return seq.prefix(depth)
 
 
@@ -217,7 +260,7 @@ def seq_scale(c: Scalar, seq: Seq) -> Seq:
         return FinSupp([c * t for t in seq.terms])
     if isinstance(seq, ExpComb):
         return ExpComb([(c * cc, r) for cc, r in seq.pairs])
-    return Lazy(lambda n: c * seq.term(n), label="scaled")
+    return Lazy(label="scaled", rows=lambda d: [c * t for t in seq.prefix(d)])
 
 
 def seq_add(x: Seq, y: Seq) -> Seq:
@@ -226,7 +269,9 @@ def seq_add(x: Seq, y: Seq) -> Seq:
         return FinSupp([x.term(i) + y.term(i) for i in range(n)])
     if isinstance(x, ExpComb) and isinstance(y, ExpComb):
         return ExpComb(x.pairs + y.pairs)
-    return Lazy(lambda n: x.term(n) + y.term(n), label="sum")
+    return Lazy(
+        label="sum", rows=lambda d: [a + b for a, b in zip(x.prefix(d), y.prefix(d))]
+    )
 
 
 def shift_down(seq: Seq) -> Seq:
@@ -235,7 +280,7 @@ def shift_down(seq: Seq) -> Seq:
         return FinSupp(seq.terms[1:])
     if isinstance(seq, ExpComb):
         return ExpComb([(c * r, r) for c, r in seq.pairs])
-    return Lazy(lambda n: seq.term(n + 1), label="shifted-down")
+    return Lazy(label="shifted-down", rows=lambda d: seq.prefix(d + 1)[1:])
 
 
 def shift_up(seq: Seq) -> Seq:
@@ -244,12 +289,14 @@ def shift_up(seq: Seq) -> Seq:
         return FinSupp((0,) + seq.terms)
     if isinstance(seq, ExpComb):
         # (c/r, r) is exact for n >= 1; it extends to n = 0 only when the
-        # candidate value at 0 vanishes, otherwise fall back to an oracle
+        # candidate value at 0 vanishes, otherwise fall back to a prefix rule
         if all(r != 0 for _, r in seq.pairs):
             cand = ExpComb([(exact_div(c, r), r) for c, r in seq.pairs])
             if cand.term(0) == 0:
                 return cand
-    return Lazy(lambda n: 0 if n == 0 else seq.term(n - 1), label="shifted-up")
+    return Lazy(
+        label="shifted-up", rows=lambda d: [0] + seq.prefix(d - 1) if d else []
+    )
 
 
 def difference(seq: Seq, k: int = 1) -> Seq:
@@ -268,7 +315,11 @@ def _difference_once(seq: Seq) -> Seq:
         return FinSupp([seq.term(i + 1) - seq.term(i) for i in range(len(ts))])
     if isinstance(seq, ExpComb):
         return ExpComb([(c * (r - 1), r) for c, r in seq.pairs])
-    return Lazy(lambda n: seq.term(n + 1) - seq.term(n), label="difference")
+    return Lazy(label="difference", rows=lambda d: _differences(seq.prefix(d + 1)))
+
+
+def _differences(row: list) -> list:
+    return [row[i + 1] - row[i] for i in range(len(row) - 1)]
 
 
 def newton_reconstruct(seq: Seq, depth: int) -> list:
@@ -286,7 +337,7 @@ def _difference_heads(row: list) -> list:
     heads = []
     while row:
         heads.append(row[0])
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
+        row = _differences(row)
     return heads
 
 
@@ -300,25 +351,48 @@ def apply_finite(op: TriOp, seq: Seq, depth: int) -> list:
         raise InfiniteSumError(
             f"{op.label} has unbounded upper band; use apply_upper"
         )
-    xs = seq.prefix(depth + op.band.above) if depth > 0 else []
-    return _row_sums(op, xs, depth)
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    return _row_sums(op, seq.prefix(depth + op.band.above) if depth else [], depth)
 
 
 def _row_sums(op: TriOp, xs: list, depth: int) -> list:
-    """Rows 0..depth-1 of op times a prefix xs that covers every row's lookahead.
+    """Rows 0..depth-1 of op times the sequence whose prefix is xs.
 
-    Row n of PD is sum_k C(n, k) (-1)**k x_k = (-1)**n Δ^n x_0, read off the
-    forward-difference table with subtractions only.
+    Terms past the end of xs read as zero, so a finitely supported sequence
+    passes its term tuple unpadded; any other caller passes a prefix that
+    covers every row's lookahead.  Rational input is summed in integers over one
+    common denominator, with one division per row.  Row n of PD is
+    sum_k C(n, k) (-1)**k x_k = (-1)**n Δ^n x_0, read off the forward-difference
+    table with subtractions only.
     """
+    xs, den = _over_common_denominator(xs)
     if op.tag == ("PD",):
-        heads = _difference_heads(xs[:depth])
-        return [h if n % 2 == 0 else -h for n, h in enumerate(heads)]
-    below, above, entry = op.band.below, op.band.above, op.entry
-    out = []
-    for i in range(depth):
-        lo = 0 if below is None else max(0, i - below)
-        out.append(sum(entry(i, k) * xs[k] for k in range(lo, i + above + 1)))
-    return out
+        heads = _difference_heads(xs[:depth] + [0] * (depth - len(xs)))
+        sums = [h if n % 2 == 0 else -h for n, h in enumerate(heads)]
+    else:
+        below, above, entry = op.band.below, op.band.above, op.entry
+        last = len(xs) - 1
+        sums = []
+        for i in range(depth):
+            lo = 0 if below is None else max(0, i - below)
+            hi = last if above is None else min(i + above, last)
+            sums.append(sum(entry(i, k) * xs[k] for k in range(lo, hi + 1)))
+    if den == 1:
+        return sums
+    inv = Fraction(1, den)
+    return [t * inv if isinstance(t, QuadExt) else Fraction(t, den) for t in sums]
+
+
+def _over_common_denominator(xs: list) -> tuple:
+    """(ns, den) with xs[k] == ns[k] / den and every ns[k] an int, when every
+    term is an int or a Fraction; otherwise (list(xs), 1)."""
+    den = 1
+    for x in xs:
+        if not isinstance(x, (int, Fraction)):
+            return list(xs), 1
+        den = lcm(den, x.denominator)
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def _abs_lt(x: Scalar, y: Scalar) -> bool:
@@ -337,19 +411,12 @@ def apply_upper(op: TriOp, seq: Seq, mode: str = CONTINUED) -> Seq:
     if mode not in (CLASSICAL, CONTINUED):
         raise ValueError(f"unknown mode: {mode!r}")
     band = op.band
+    if isinstance(seq, FinSupp) and band.below is not None:
+        return FinSupp(_row_sums(op, seq.terms, seq.support_bound + band.below))
     if band.above is not None:
-        return _apply_banded(op, seq)
+        return _image(op, seq)
     if isinstance(seq, FinSupp):
-        if band.below is None:
-            raise InfiniteSumError(f"{op.label} has no finite summation range")
-        bound = seq.support_bound
-        terms = []
-        for n in range(bound + band.below):
-            lo = max(0, n - band.below)
-            terms.append(
-                sum(op.entry(n, k) * seq.terms[k] for k in range(lo, bound))
-            )
-        return FinSupp(terms)
+        raise InfiniteSumError(f"{op.label} has no finite summation range")
     if isinstance(seq, ExpComb):
         if op.tag == ("PTD",):
             return ExpComb([_ptd_pair(c, r, mode) for c, r in seq.pairs])
@@ -388,22 +455,15 @@ def _jinv_pair(c: Scalar, r: Scalar, a: Scalar, mode: str) -> tuple:
     return (exact_div(c, denom), r)
 
 
-def _apply_banded(op: TriOp, seq: Seq) -> Seq:
-    band = op.band
-    if isinstance(seq, FinSupp) and band.below is not None:
-        bound = seq.support_bound
-        terms = []
-        for n in range(bound + band.below):
-            lo = max(0, n - band.below)
-            hi = min(n + band.above, bound - 1)
-            terms.append(sum(op.entry(n, k) * seq.terms[k] for k in range(lo, hi + 1)))
-        return FinSupp(terms)
+def _image(op: TriOp, seq: Seq) -> Lazy:
+    """Lazy image of seq under an operator with finite lookahead: a prefix
+    reads the input prefix once and runs the kernel."""
+    above = op.band.above
 
-    def oracle(n):
-        lo = 0 if band.below is None else max(0, n - band.below)
-        return sum(op.entry(n, k) * seq.term(k) for k in range(lo, n + band.above + 1))
+    def rows(depth):
+        return _row_sums(op, seq.prefix(depth + above) if depth else [], depth)
 
-    return Lazy(oracle, label=f"{op.label}·seq")
+    return Lazy(label=f"{op.label}·seq", rows=rows)
 
 
 @dataclass(frozen=True)

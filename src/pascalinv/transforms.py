@@ -23,6 +23,8 @@ from .sequences import (
     FinSupp,
     Lazy,
     Seq,
+    _image,
+    _row_sums,
     apply_upper,
     check_invariance,
     seq_add,
@@ -60,15 +62,20 @@ def t42c(x: Seq) -> Seq:
         out.append((-spill, half))
         return ExpComb(out)
 
-    def oracle(n):
-        return sum(Fraction(1, 2 ** (n - k)) * x.term(k) for k in range(n))
+    def rows(depth):
+        # y_0 = 0, y_{n+1} = (y_n + x_n) / 2
+        out = [0] * depth
+        for n, t in enumerate(x.prefix(depth - 1) if depth else []):
+            out[n + 1] = (out[n] + t) * half
+        return out
 
-    return Lazy(oracle, label="halved-prefix-sum")
+    return Lazy(label="halved-prefix-sum", rows=rows)
 
 
 def t42d(x: Seq) -> Seq:
     """y_n = -x_n + 2*x_{n+1}: inverse invariant -> invariant, first kind."""
-    return seq_add(seq_scale(-1, x), seq_scale(2, shift_down(x)))
+    # the longer operand first, so a lazy x computes its prefix once
+    return seq_add(seq_scale(2, shift_down(x)), seq_scale(-1, x))
 
 
 @dataclass(frozen=True)
@@ -115,24 +122,11 @@ class Pipeline:
 
 def _matrix_stage(name, op_factory, sets, finsupp_rows=None) -> Stage:
     op = op_factory()
-    band = op.band
 
     def run(seq, mode):
         if isinstance(seq, FinSupp) and finsupp_rows is not None:
-            bound = seq.support_bound
-            rows = finsupp_rows(bound)
-            return FinSupp(
-                [
-                    sum(op.entry(n, t) * seq.terms[t] for t in range(min(bound, n + 1)))
-                    for n in range(rows)
-                ]
-            )
-
-        def oracle(n):
-            lo = 0 if band.below is None else max(0, n - band.below)
-            return sum(op.entry(n, k) * seq.term(k) for k in range(lo, n + band.above + 1))
-
-        return Lazy(oracle, label=f"{op.label}·seq")
+            return FinSupp(_row_sums(op, seq.terms, finsupp_rows(seq.support_bound)))
+        return _image(op, seq)
 
     return Stage(name, run, sets=sets)
 
@@ -232,9 +226,8 @@ def orthogonality(x: Seq, y: Seq, depth: int = 32) -> Scalar:
     pairwise ratio products stay inside the unit disc (classical closed form).
     """
     if isinstance(y, FinSupp):
-        return sum(
-            x.term(n) * (-1) ** n * y.terms[n] for n in range(y.support_bound)
-        )
+        xs = x.prefix(y.support_bound)
+        return sum(xs[n] * (-1) ** n * t for n, t in enumerate(y.terms))
     if isinstance(x, FinSupp):
         return orthogonality(y, x, depth)
     if isinstance(x, ExpComb) and isinstance(y, ExpComb):

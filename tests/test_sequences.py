@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pascalinv import sequences
+from pascalinv.eigenstructure import ptdown, qdown, qtdown00, zero_top_pdown
 from pascalinv.errors import (
     DivergentSumError,
     InfiniteSumError,
@@ -23,6 +26,7 @@ from pascalinv.sequences import (
     FinSupp,
     KSeq,
     Lazy,
+    _row_sums,
     apply_finite,
     apply_upper,
     bernoulli_number,
@@ -34,11 +38,14 @@ from pascalinv.sequences import (
     lucas,
     newton_reconstruct,
     prefix,
+    seq_add,
+    seq_scale,
     shift_down,
     shift_up,
     term,
     unit,
 )
+from pascalinv.transforms import TRANSFORM_STAGES, build_phi, build_psi, t42c, t42d
 
 small_finsupps = st.lists(
     st.integers(min_value=-3, max_value=3), min_size=1, max_size=10
@@ -395,3 +402,172 @@ def test_k_number_cache_is_thread_safe():
     assert values[0::2] == values[1::2]
     for n in range(1, 161):
         assert k_number(n) == (k_number(n - 1) + (-1) ** (n - 1) * bernoulli_number(n - 1)) / 2
+
+
+KERNEL_OPS = {
+    "P": lambda: make_operator("P"),
+    "PT": lambda: make_operator("PT"),
+    "Q": lambda: make_operator("Q"),
+    "J(2)": lambda: make_operator("J", 2),
+    "Jinv(2)": lambda: make_operator("Jinv", 2),
+    "Jinv(√5)": lambda: make_operator("Jinv", QuadExt(0, 1, 5)),
+    "PD": pd,
+    "ptdown": ptdown,
+    "qdown": qdown,
+    "zero_top_pdown": zero_top_pdown,
+}
+
+
+def draw_prefix(rng, kind, length):
+    def rat():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+
+    def draw():
+        if kind == "int":
+            return rng.randint(-9, 9)
+        if kind == "fraction":
+            return rat()
+        if kind == "mixed":
+            return rng.randint(-9, 9) if rng.random() < 0.5 else rat()
+        # quadratic, some of them rational-valued, next to plain rationals
+        return rng.choice((QuadExt(rat(), rat(), 5), QuadExt(rat(), 0, 5), rat()))
+
+    return [draw() for _ in range(length)]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed", "quadratic"])
+@pytest.mark.parametrize("name", sorted(KERNEL_OPS))
+def test_row_sums_match_brute_force(name, kind):
+    """The kernel against whole-row sums that ignore the band, past-end terms zero."""
+    op = KERNEL_OPS[name]()
+    rng = random.Random(f"{name}:{kind}")
+    for _ in range(12):
+        xs = draw_prefix(rng, kind, rng.randint(0, 9))
+        depth = len(xs) + rng.randint(0, 3)
+        want = [
+            sum((op.entry(i, k) * xs[k] for k in range(len(xs))), 0)
+            for i in range(depth)
+        ]
+        got = _row_sums(op, xs, depth)
+        assert got == want
+        assert all(isinstance(v, (int, Fraction, QuadExt)) for v in got), got
+
+
+def quadratic_oracle():
+    return Lazy(lambda n: QuadExt(n, 1 - n, 5), label="quadratic oracle")
+
+
+def row_reference(op, seq):
+    """Row n of op times seq, summed from op.entry and seq.term."""
+    above = op.band.above
+    return lambda n: sum((op.entry(n, k) * seq.term(k) for k in range(n + above + 1)), 0)
+
+
+def banded_image(op, seq):
+    return apply_upper(op, seq), row_reference(op, seq)
+
+
+def stage_image(pipe, op, seq):
+    return pipe.apply(seq), row_reference(op, seq)
+
+
+def t42c_image(x):
+    return t42c(x), lambda n: sum((Fraction(1, 2 ** (n - k)) * x.term(k) for k in range(n)), 0)
+
+
+LAZY_IMAGES = {
+    "banded J(2)": lambda: banded_image(make_operator("J", 2), Bernoulli()),
+    "banded PD": lambda: banded_image(pd(), KSeq()),
+    "banded Q": lambda: banded_image(make_operator("Q"), quadratic_oracle()),
+    "stage Qdown": lambda: stage_image(build_psi(1), qdown(), KSeq()),
+    "stage [0;Pdown]": lambda: stage_image(
+        build_psi(1, "tilde"), zero_top_pdown(), quadratic_oracle()
+    ),
+    "stage PTdown": lambda: stage_image(build_phi(1), ptdown(), Bernoulli()),
+    "stage QTdown00": lambda: stage_image(build_phi(1, "tilde"), qtdown00(), AltBernoulli()),
+    "t42c rational": lambda: t42c_image(Bernoulli()),
+    "t42c quadratic": lambda: t42c_image(quadratic_oracle()),
+    "t42c ratio 1/2": lambda: t42c_image(geometric(3, Fraction(1, 2))),
+    "t42d": lambda: (t42d(KSeq()), lambda n: -k_number(n) + 2 * k_number(n + 1)),
+    "shift_up lucas": lambda: (shift_up(lucas()), lambda n: lucas().term(n - 1) if n else 0),
+    "shift_up": lambda: (shift_up(KSeq()), lambda n: k_number(n - 1) if n else 0),
+    "shift_down": lambda: (shift_down(Bernoulli()), lambda n: bernoulli_number(n + 1)),
+    "difference": lambda: (
+        difference(KSeq(), 2),
+        lambda n: k_number(n + 2) - 2 * k_number(n + 1) + k_number(n),
+    ),
+    "sum": lambda: (
+        seq_add(Bernoulli(), quadratic_oracle()),
+        lambda n: bernoulli_number(n) + QuadExt(n, 1 - n, 5),
+    ),
+    "scaled": lambda: (
+        seq_scale(Fraction(-3, 2), quadratic_oracle()),
+        lambda n: Fraction(-3, 2) * QuadExt(n, 1 - n, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_IMAGES))
+def test_lazy_images_match_their_defining_sums(name):
+    out, ref = LAZY_IMAGES[name]()
+    assert isinstance(out, Lazy) and out.rows is not None
+    want = [ref(n) for n in range(30)]
+    assert out.term(9) == want[9]  # a term before any prefix
+    assert out.prefix(14) == want[:14]
+    assert out.prefix(5) == want[:5]
+    assert [out.term(n) for n in range(14)] == want[:14]
+    assert out.term(29) == want[29]
+    assert out.prefix(30) == want
+    assert all(isinstance(v, (int, Fraction, QuadExt)) for v in want + out.prefix(30))
+    assert out.prefix(0) == []
+    with pytest.raises(ValueError):
+        out.term(-1)
+
+
+def test_lazy_needs_exactly_one_rule():
+    with pytest.raises(ValueError, match="exactly one"):
+        Lazy()
+    with pytest.raises(ValueError, match="exactly one"):
+        Lazy(lambda n: n, rows=lambda d: list(range(d)))
+
+
+@pytest.mark.parametrize(
+    "build, variant", [(build_phi, "plain"), (build_psi, "plain"), (build_psi, "tilde")]
+)
+def test_pipelines_read_each_index_once(build, variant, monkeypatch):
+    """Each input index is read once and each matrix stage runs its kernel once,
+    also where a stage reads its input at two depths (t42a, t42d)."""
+    row_sums = _row_sums
+    kernel_calls = []
+
+    def counting_row_sums(op, xs, depth):
+        kernel_calls.append(op.label)
+        return row_sums(op, xs, depth)
+
+    monkeypatch.setattr(sequences, "_row_sums", counting_row_sums)
+    for length in (3, 4, 12):
+        pipe = build(length, variant)
+        kernel_calls.clear()
+        seq = CountingLazy(lambda n: Fraction(1, n + 1))
+        got = pipe.apply(seq).prefix(10)
+        assert max(seq.calls.values()) == 1
+        assert len(kernel_calls) == sum(s not in TRANSFORM_STAGES.values() for s in pipe.steps)
+        fresh = pipe.apply(Lazy(lambda n: Fraction(1, n + 1)))
+        assert got == [fresh.term(i) for i in range(10)]
+
+
+def test_negative_depth_is_an_error():
+    calls = [
+        lambda: apply_finite(pd(), lucas(), -2),
+        lambda: prefix(lucas(), -1),
+        lambda: Lazy(lambda n: n).prefix(-1),
+        lambda: shift_up(KSeq()).prefix(-1),
+        lambda: FinSupp((1, 2)).prefix(-1),
+        lambda: Bernoulli().prefix(-3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            call()
+    assert apply_finite(pd(), lucas(), 0) == []
+    assert prefix(lucas(), 0) == []
+    assert Lazy(lambda n: n).prefix(0) == []

@@ -255,3 +255,44 @@ def test_converse_check():
         converse_check(FinSupp(()), "P+D", 8)
     with pytest.raises(ValueError):
         converse_check(unit(0), "Q", 8)
+
+
+def test_finsupp_dots_match_brute_force():
+    rng = random.Random(17)
+    xs = [
+        lucas(),
+        KSeq(),
+        FinSupp((1, Fraction(-2, 3), 4)),
+        basis_vector(EigenSpaceId("PD", 1), 2),
+    ]
+    for _ in range(20):
+        size = rng.randint(0, 7)
+        terms = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size)]
+        y = FinSupp(terms)
+        for x in xs:
+            want = sum((x.term(n) * (-1) ** n * y.term(n) for n in range(len(terms))), 0)
+            assert orthogonality(x, y) == want
+
+
+def test_converse_check_matches_column_by_column_dots():
+    from pascalinv.transforms import _CONVERSE_CLASSES, _POWER_BASES
+
+    def reference(y, base, depth):
+        X = _POWER_BASES[base][0]()
+        for i in range(depth):
+            dot = sum(X.entry(n, i) * (-1) ** n * y.term(n) for n in range(y.support_bound))
+            if dot != 0:
+                return True
+        kind, sign = _CONVERSE_CLASSES[base]
+        wanted = "invariant" if sign == 1 else "inverse-invariant"
+        return check_invariance(y, kind, depth).verdict == wanted
+
+    rng = random.Random(23)
+    ys = [basis_vector(EigenSpaceId("PTD", s), j) for s in (1, -1) for j in range(3)]
+    for _ in range(6):
+        ys.append(FinSupp([Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(5)]))
+    for y in ys:
+        if y.support_bound == 0:
+            continue
+        for base in _CONVERSE_CLASSES:
+            assert converse_check(y, base, 12) == reference(y, base, 12)
