@@ -1,7 +1,23 @@
 """Command-line front end: generate, check, transform, display and verify.
 
-Exit codes: 0 success (``check``: invariant), 2 parse error, 3 inverse
-invariant, 4 neither, 5 summation error, 1 verification failure.
+Exit codes, for every subcommand:
+
+====  ==========================================================
+code  meaning
+====  ==========================================================
+0     success (``check``: invariant)
+1     ``verify``: a check failed; ``oeis``: the lookup failed
+      (network error, or an ``--offline`` cache miss)
+2     parse or usage error, a depth below 2, or a non-integer
+      prefix given to ``oeis``
+3     ``check``: inverse invariant
+4     ``check``: neither
+5     summation error
+====  ==========================================================
+
+Each subcommand imports only the library modules it runs: ``transforms``
+for pipelines, ``eigenstructure`` for the matrices it defines, ``checks``
+for ``verify`` and ``oeis`` for ``oeis``.
 """
 from __future__ import annotations
 
@@ -9,10 +25,11 @@ import argparse
 import json
 import re
 import sys
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from . import checks, oeis
 from .errors import PascalinvError
-from .operators import make_operator, pd, ptd, truncate
+from .operators import make_operator, truncate
 from .scalars import QuadExt, format_scalar, parse_scalar, scalar_to_json
 from .sequences import (
     AltBernoulli,
@@ -28,10 +45,12 @@ from .sequences import (
     lucas,
     prefix,
 )
-from . import eigenstructure as eig
-from . import transforms as tr
+
+if TYPE_CHECKING:
+    from .transforms import Pipeline
 
 EXIT_OK = 0
+EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_INVERSE = 3
 EXIT_NEITHER = 4
@@ -61,7 +80,9 @@ def parse_sequence(text: str) -> Seq:
         if not (body.startswith("[") and body.endswith("]")):
             raise LiteralError(f"finsupp literal needs [..]: {text!r}")
         inner = body[1:-1].strip()
-        items = [t for t in inner.split(",") if t.strip()] if inner else []
+        items = inner.split(",") if inner else []
+        if not all(t.strip() for t in items):
+            raise LiteralError(f"empty item in finsupp literal: {text!r}")
         try:
             terms = [parse_scalar(t) for t in items]
         except ValueError as exc:
@@ -99,8 +120,10 @@ def _check_one_field(scalars) -> None:
 _PIPE_TOKEN = re.compile(r"^(phi|phitilde|psi|psitilde)\((\d+)\)$")
 
 
-def parse_pipeline(text: str) -> tr.Pipeline:
+def parse_pipeline(text: str) -> Pipeline:
     """Parse ``t42a;phi(2);...`` applied left to right (``a;b`` runs a first)."""
+    from . import transforms as tr
+
     steps = []
     for raw in text.split(";"):
         token = raw.strip()
@@ -122,15 +145,17 @@ def parse_pipeline(text: str) -> tr.Pipeline:
     return tr.Pipeline(tuple(steps))
 
 
+# Factories by their name in the package namespace, looked up on use: the
+# eigenstructure ones import that module the first time they are asked for.
 _MATRIX_EXTRA = {
-    "PD": pd,
-    "PTD": ptd,
-    "N": eig.make_N,
-    "M": eig.make_M,
-    "PTdown": eig.ptdown,
-    "Qdown": eig.qdown,
-    "QTdown00": eig.qtdown00,
-    "ZeroTopPdown": eig.zero_top_pdown,
+    "PD": "pd",
+    "PTD": "ptd",
+    "N": "make_N",
+    "M": "make_M",
+    "PTdown": "ptdown",
+    "Qdown": "qdown",
+    "QTdown00": "qtdown00",
+    "ZeroTopPdown": "zero_top_pdown",
 }
 _MATRIX_PLAIN = ("P", "PT", "D", "A", "L", "Omega", "Q", "QT")
 
@@ -139,7 +164,7 @@ def resolve_matrix(name: str):
     if name in _MATRIX_PLAIN:
         return make_operator(name)
     if name in _MATRIX_EXTRA:
-        return _MATRIX_EXTRA[name]()
+        return getattr(import_module(__package__), _MATRIX_EXTRA[name])()
     if ":" in name:
         base, _, param = name.partition(":")
         if base in ("J", "Jinv"):
@@ -158,15 +183,15 @@ def _class_phrase(cls) -> str:
     return f"{word} of the {kind} kind"
 
 
-def _emit_terms(label: str, terms, cfg, announcement=None) -> None:
-    if cfg.format == "json":
+def _emit_terms(label: str, terms, fmt: str, announcement=None) -> None:
+    if fmt == "json":
         payload = {"label": label, "terms": [scalar_to_json(t) for t in terms]}
         if announcement is not None:
             payload["class"] = announcement
         print(json.dumps(payload))
         return
     line = ",".join(format_scalar(t) for t in terms)
-    if cfg.format == "csv":
+    if fmt == "csv":
         print(line)
         return
     print(line)
@@ -174,16 +199,16 @@ def _emit_terms(label: str, terms, cfg, announcement=None) -> None:
         print(f"class: {announcement}")
 
 
-def cmd_gen(args, cfg) -> int:
+def cmd_gen(args) -> int:
     seq = parse_sequence(args.sequence)
-    _emit_terms(args.sequence, prefix(seq, cfg.depth), cfg)
+    _emit_terms(args.sequence, prefix(seq, args.depth), args.format)
     return EXIT_OK
 
 
-def cmd_check(args, cfg) -> int:
+def cmd_check(args) -> int:
     seq = parse_sequence(args.sequence)
-    report = check_invariance(seq, args.kind, cfg.depth, cfg.mode)
-    if cfg.format == "json":
+    report = check_invariance(seq, args.kind, args.depth, args.mode)
+    if args.format == "json":
         print(json.dumps(report.__dict__))
     else:
         msg = f"{report.verdict} (kind={report.kind}, depth={report.depth}, mode={report.mode})"
@@ -197,33 +222,36 @@ def cmd_check(args, cfg) -> int:
     return EXIT_NEITHER
 
 
-def cmd_apply(args, cfg) -> int:
+def cmd_apply(args) -> int:
     pipe = parse_pipeline(args.pipeline)
     seq = parse_sequence(args.sequence)
-    out = pipe.apply(seq, cfg.mode)
+    out = pipe.apply(seq, args.mode)
     announcement = _class_phrase(pipe.output_class())
-    _emit_terms(pipe.describe(), prefix(out, cfg.depth), cfg, announcement)
+    _emit_terms(pipe.describe(), prefix(out, args.depth), args.format, announcement)
     return EXIT_OK
 
 
-def cmd_matrix(args, cfg) -> int:
+def cmd_matrix(args) -> int:
     if args.rows < 1 or args.cols < 1:
         raise LiteralError("--rows and --cols must be >= 1")
     op = resolve_matrix(args.name)
     block = truncate(op, args.rows, args.cols)
-    if cfg.format == "json":
+    if args.format == "json":
         print(json.dumps({"label": op.label, "entries": block.to_jsonable()}))
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         print(block.to_csv())
     else:
         print(block)
     return EXIT_OK
 
 
-def cmd_verify(args, cfg) -> int:
-    results = checks.run_suite(args.suite, cfg)
+def cmd_verify(args) -> int:
+    from .checks import RunConfig, run_suite
+
+    cfg = RunConfig(depth=args.depth, mode=args.mode, format=args.format, seed=args.seed)
+    results = run_suite(args.suite, cfg)
     all_ok = all(r.passed for r in results)
-    if cfg.format == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -246,16 +274,16 @@ def cmd_verify(args, cfg) -> int:
             status = "PASS" if r.passed else "FAIL"
             print(f"{status} {r.name} (depth={r.depth}, {r.elapsed_ms:.1f}ms)")
         print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    return EXIT_OK if all_ok else 1
+    return EXIT_OK if all_ok else EXIT_FAIL
 
 
-def cmd_table1(args, cfg) -> int:
+def cmd_table1(args) -> int:
     rows = {
         "B": [bernoulli_number(n) for n in range(13)],
         "DB": [(-1) ** n * bernoulli_number(n) for n in range(13)],
         "K": [k_number(n) for n in range(13)],
     }
-    if cfg.format == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {name: [scalar_to_json(v) for v in vals] for name, vals in rows.items()}
@@ -264,16 +292,25 @@ def cmd_table1(args, cfg) -> int:
         return EXIT_OK
     for name, vals in rows.items():
         line = ",".join(format_scalar(v) for v in vals)
-        print(line if cfg.format == "csv" else f"{name}: {line}")
+        print(line if args.format == "csv" else f"{name}: {line}")
     return EXIT_OK
 
 
-def cmd_oeis(args, cfg) -> int:
+def cmd_oeis(args) -> int:
+    from . import oeis
+
     seq = parse_sequence(args.sequence)
-    result = oeis.lookup(
-        seq, cfg.depth, offline=args.offline, cache_dir=args.cache_dir
-    )
-    if cfg.format == "json":
+    try:
+        result = oeis.lookup(
+            seq, args.depth, offline=args.offline, cache_dir=args.cache_dir
+        )
+    except oeis.NonIntegerSequenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (oeis.NetworkError, oeis.CacheMissError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -352,23 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = checks.RunConfig(
-        depth=args.depth, mode=args.mode, format=args.format, seed=args.seed
-    )
-    if cfg.depth < 2:
+    if args.depth < 2:
         print("depth must be >= 2", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except LiteralError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except oeis.NonIntegerSequenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (oeis.NetworkError, oeis.CacheMissError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PascalinvError as exc:
         print(f"summation error: {exc}", file=sys.stderr)
         return EXIT_SUMMATION

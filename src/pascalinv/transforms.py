@@ -275,6 +275,7 @@ def converse_check(y: Seq, base: str, depth: int) -> bool:
         if dot != 0:
             return True  # hypothesis fails: vacuously true
     kind, sign = _CONVERSE_CLASSES[base]
-    report = check_invariance(y, kind, depth)
+    # a check shorter than the support of y would not see all of it
+    report = check_invariance(y, kind, max(depth, y.support_bound))
     wanted = "invariant" if sign == 1 else "inverse-invariant"
     return report.verdict == wanted

@@ -213,3 +213,33 @@ def test_invalid_input_is_a_clean_parse_error(capsys, argv, message):
     assert err.startswith("parse error: ") and message in err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err and "Fraction(" not in err
+
+
+@pytest.mark.parametrize("literal", ["finsupp:[1,,2]", "finsupp:[,1]", "finsupp:[1,]", "finsupp:[ , ]"])
+def test_finsupp_empty_item_is_a_parse_error(capsys, literal):
+    code, out, err = run(capsys, "gen", literal, "--depth", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: empty item")
+
+
+def test_finsupp_empty_brackets_are_the_zero_sequence(capsys):
+    code, out, _ = run(capsys, "gen", "finsupp:[]", "--depth", "3")
+    assert code == 0
+    assert out.strip() == "0,0,0"
+
+
+@pytest.mark.parametrize("depth", ["2", "3", "4", "5"])
+def test_verify_all_passes_at_small_depths(capsys, depth):
+    code, out, _ = run(capsys, "verify", "all", "--depth", depth)
+    assert code == 0
+    assert out.splitlines()[-1] == "14/14 checks passed"
+
+
+def test_oeis_errors_map_to_exit_codes(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("PASCALINV_OEIS_FIXTURES", raising=False)
+    cache = str(tmp_path)
+    code, _, err = run(capsys, "oeis", "kseq", "--offline", "--cache-dir", cache)
+    assert code == 2 and err.startswith("error: non-integer term")
+    code, _, err = run(capsys, "oeis", "lucas", "--offline", "--cache-dir", cache)
+    assert code == 1 and err.startswith("error: no cached response")

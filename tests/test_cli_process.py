@@ -1,0 +1,89 @@
+"""Fresh-process tests of the lazy imports behind the CLI and the package.
+
+An in-process test imports every module before it runs, so it would hide a
+subcommand that uses a module it never imports.  Each command here runs in a
+new interpreter instead.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pascalinv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FIXTURES = Path(__file__).parent / "fixtures"
+HEAVY = ("pascalinv.checks", "pascalinv.transforms", "pascalinv.eigenstructure", "pascalinv.oeis")
+
+# Every name the package exported when it imported all of its modules up front.
+EXPORTED = (
+    "AltBernoulli Band Bernoulli CoordResult DenseMat DivergentSumError EigenSpaceId "
+    "ExpComb FinSupp InfiniteSumError InvarianceReport KSeq Lazy PascalinvError Pipeline "
+    "PoleError QuadExt Scalar Seq Stage TriOp UnsupportedPairError UnsupportedSequenceError "
+    "apply_finite apply_upper banded basis_vector bernoulli_number binomial build_phi "
+    "build_psi check_invariance compose converse_check coords_first_kind delete_leading "
+    "difference downshift exact_div factor_chain fibonacci formal_coords_second_kind "
+    "format_scalar geometric k_number lin_comb lucas make_M make_N make_factor "
+    "make_operator newton_reconstruct op_power orthogonality parse_scalar pd power_column "
+    "power_column_class prefix ptd ptdown qdown qtdown00 scalar_from_json scalar_to_json "
+    "shift_down shift_up simplify t42a t42b t42c t42d term transpose truncate unit "
+    "verify_block_diag zero_top_pdown"
+).split()
+
+
+def _python(*args, env=()):
+    full_env = {k: v for k, v in os.environ.items() if not k.startswith("PASCALINV_")}
+    full_env.update(env, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], env=full_env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_gen_loads_no_heavy_module():
+    code = (
+        "import sys, pascalinv.cli\n"
+        "assert pascalinv.cli.main(['gen', 'fib', '--depth', '4']) == 0\n"
+        f"print(sorted(m for m in {HEAVY!r} if m in sys.modules))\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0,1,1,2", "[]"]
+
+
+@pytest.mark.parametrize(
+    "argv, fixtures, code, marker",
+    [
+        (("apply", "t42c", "lucas", "--depth", "8"), False, 0, "0,1,1,2,3,5,8,13"),
+        (("matrix", "N", "--rows", "2", "--cols", "3"), False, 0, "0  1  -1"),
+        (("verify", "inversion", "--depth", "8"), False, 0, "4/4 checks passed"),
+        (("oeis", "lucas", "--offline", "--depth", "10"), True, 0, "A000032"),
+        (("oeis", "finsupp:[3,1,4]", "--offline"), False, 1, "error: no cached response"),
+        (("oeis", "bernoulli", "--offline"), False, 2, "error: non-integer term"),
+    ],
+    ids=["apply", "matrix-N", "verify", "oeis-fixture", "oeis-miss", "oeis-non-integer"],
+)
+def test_lazy_path_in_a_fresh_process(tmp_path, argv, fixtures, code, marker):
+    env = {"PASCALINV_OEIS_CACHE": str(tmp_path)}
+    if fixtures:
+        env["PASCALINV_OEIS_FIXTURES"] = str(FIXTURES)
+    proc = _python("-m", "pascalinv", *argv, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert marker in (proc.stdout if code == 0 else proc.stderr)
+    assert "Traceback" not in proc.stderr
+
+
+def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from pascalinv import *", namespace)
+    listing = dir(pascalinv)
+    for name in EXPORTED:
+        assert name in listing
+        assert namespace[name] is getattr(pascalinv, name)
+    assert sorted(pascalinv.__all__) == sorted(EXPORTED)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        pascalinv.nonexistent
