@@ -9,9 +9,11 @@ P D and P^T D), and expansion in those bases is a triangular solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
+from math import comb
 
 from .operators import (
+    LOWER,
     UPPER,
     DenseMat,
     TriOp,
@@ -30,24 +32,21 @@ from .sequences import FinSupp, Lazy, Seq, prefix
 
 
 def _n_entry(i: int, j: int) -> int:
-    if i == 0 and j == 0:
-        return 1
     if i == 0 or j == 0:
+        return 1 if i == j else 0
+    if i > j:
         return 0
-    if i <= j:
-        k = (i - 1) // 2
-        return (-1) ** (j - i) * binomial(k + j - i, k)
-    return 0
+    k = (i - 1) // 2
+    c = comb(k + j - i, k)
+    return -c if (j - i) & 1 else c
 
 
 def _m_entry(i: int, j: int) -> int:
-    if i == 0 and j == 0:
-        return 1
     if i == 0 or j == 0:
+        return 1 if i == j else 0
+    if i > j:
         return 0
-    if i <= j:
-        return binomial(j // 2, j - i)
-    return 0
+    return comb(j // 2, j - i)  # 0 once j - i > j // 2
 
 
 def make_N() -> TriOp:
@@ -104,12 +103,10 @@ def _block_sum(block, m: int) -> DenseMat:
     return DenseMat.from_rows(rows)
 
 
-@lru_cache(maxsize=None)
 def _conjugated_ptd() -> TriOp:
     return compose(compose(make_N(), ptd()), make_M())
 
 
-@lru_cache(maxsize=None)
 def _conjugated_pd() -> TriOp:
     d = make_operator("D")
     dmtd = compose(d, compose(transpose(make_M()), d))
@@ -143,8 +140,9 @@ def qdown() -> TriOp:
 
 
 def zero_top_pdown() -> TriOp:
-    """Down-shifted Pascal matrix under one zero row; columns span the -1 space of P D."""
-    return compose(transpose(make_operator("J", 0)), downshift(make_operator("P")))
+    """Down-shifted Pascal matrix under one zero row, entry (i, j) = C(i-1-j, j) for
+    i > j; columns span the -1 space of P D."""
+    return TriOp(LOWER, lambda i, j: binomial(i - 1 - j, j) if i > j else 0, "J(0)^T·P↓")
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,16 @@
 
 A :class:`TriOp` is a pure function (i, j) -> scalar together with band
 metadata bounding its support.  Operators are never materialised; composition
-builds a new oracle whose inner summation range is finite by construction,
-and :func:`truncate` produces exact finite blocks on demand.
+builds a new oracle whose inner summation range is finite by construction and
+records its two factors, so :func:`truncate` produces an exact finite block by
+multiplying finite blocks of the factors.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable, Optional
 
 from .errors import InfiniteSumError
@@ -147,14 +148,12 @@ def _q_entry(i: int, j: int) -> int:
 
 def pd() -> TriOp:
     """The signed Pascal involution: entry (i, j) = C(i, j) * (-1)^j, lower triangular."""
-    op = compose(make_operator("P"), make_operator("D"))
-    return replace(op, label="PD", tag=("PD",))
+    return TriOp(LOWER, lambda i, j: (-1) ** j * binomial(i, j), "PD", ("PD",))
 
 
 def ptd() -> TriOp:
     """The transposed signed Pascal involution: entry (i, j) = C(j, i) * (-1)^j, upper triangular."""
-    op = compose(make_operator("PT"), make_operator("D"))
-    return replace(op, label="P^T D", tag=("PTD",))
+    return TriOp(UPPER, lambda i, j: (-1) ** j * binomial(j, i), "P^T D", ("PTD",))
 
 
 def transpose(op: TriOp) -> TriOp:
@@ -193,7 +192,8 @@ def compose(left: TriOp, right: TriOp) -> TriOp:
 
     Legality is decided from the band metadata alone: the inner index is
     bounded above by ``i + left.above`` or ``j + right.below``, so at least
-    one of those must be finite.
+    one of those must be finite.  The tag ``("compose", left, right)`` keeps
+    the factors for :func:`truncate`; ``entry`` sums one entry on its own.
     """
     lb, rb = left.band, right.band
     if lb.above is None and rb.below is None:
@@ -202,7 +202,6 @@ def compose(left: TriOp, right: TriOp) -> TriOp:
         )
     le, re_ = left.entry, right.entry
 
-    @lru_cache(maxsize=None)
     def entry(i, j):
         lo = 0
         if lb.below is not None:
@@ -221,7 +220,7 @@ def compose(left: TriOp, right: TriOp) -> TriOp:
         return total
 
     band = Band(_bound_add(lb.below, rb.below), _bound_add(lb.above, rb.above))
-    return TriOp(band, entry, f"{left.label}·{right.label}")
+    return TriOp(band, entry, f"{left.label}·{right.label}", ("compose", left, right))
 
 
 def downshift(op: TriOp) -> TriOp:
@@ -289,15 +288,7 @@ class DenseMat:
     def __matmul__(self, other: DenseMat) -> DenseMat:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        return DenseMat.from_rows(
-            [
-                [
-                    sum(self.data[i][k] * other.data[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
+        return DenseMat.from_rows(_product(self.data, other.data, other.cols))
 
     def to_jsonable(self):
         return [[scalar_to_json(e) for e in row] for row in self.data]
@@ -317,7 +308,64 @@ class DenseMat:
 
 
 def truncate(op: TriOp, m: int, n: int) -> DenseMat:
-    """Exact top-left m x n block of the operator."""
+    """Exact top-left m x n block of the operator.
+
+    A composition is the product of its factors' blocks, with the inner size
+    set by the bands; any other operator fills each row inside its band from
+    ``entry``.  So an s x s block of a product of f lower or upper factors
+    costs O(f s^2) entry calls and at most O(f s^3) scalar products, where the
+    entry oracle of the same product would sum O(s^(f+1)) terms.
+    """
     if m < 1 or n < 1:
         raise ValueError("truncation dimensions must be >= 1")
-    return DenseMat.from_rows([[op.entry(i, j) for j in range(n)] for i in range(m)])
+    return DenseMat.from_rows(_block(op, m, n))
+
+
+def _block(op: TriOp, m: int, n: int) -> list:
+    """Rows 0..m-1, columns 0..n-1 of op, as lists."""
+    tag = op.tag
+    if tag and tag[0] == "compose":
+        _, left, right = tag
+        # inner indices past row m-1's band in left or column n-1's in right are zero
+        ends = []
+        if left.band.above is not None:
+            ends.append(m + left.band.above)
+        if right.band.below is not None:
+            ends.append(n + right.band.below)
+        k = min(ends)
+        return _product(_block(left, m, k), _block(right, k, n), n)
+    below, above, entry = op.band.below, op.band.above, op.entry
+    rows = []
+    for i in range(m):
+        lo = 0 if below is None else min(n, max(0, i - below))
+        hi = n if above is None else max(lo, min(n, i + above + 1))
+        rows.append([0] * lo + [entry(i, j) for j in range(lo, hi)] + [0] * (n - hi))
+    return rows
+
+
+def _product(a, b, n: int) -> list:
+    """Rows of the product of a and b (n columns).
+
+    Each row is the sum of the rows of b scaled by its nonzero entries, and
+    each row of b is taken between its first and last nonzero entry only.
+    """
+    spans = []
+    for brow in b:
+        nonzero = [j for j, y in enumerate(brow) if y]
+        if nonzero:
+            lo, hi = nonzero[0], nonzero[-1] + 1
+            spans.append((lo, hi, brow[lo:hi]))
+        else:
+            spans.append(None)
+    rows = []
+    for row in a:
+        out = [0] * n
+        for x, span in zip(row, spans):
+            if x and span:
+                lo, hi, ys = span
+                if hi - lo == 1:
+                    out[lo] += x * ys[0]
+                else:
+                    out[lo:hi] = [o + x * y if y else o for o, y in zip(out[lo:hi], ys)]
+        rows.append(out)
+    return rows

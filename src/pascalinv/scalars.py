@@ -166,6 +166,9 @@ class QuadExt:
             return self._b == 0 and self._a == other
         return NotImplemented
 
+    def __bool__(self):
+        return self._a != 0 or self._b != 0
+
     def __hash__(self):
         # rational-valued elements must hash like the Fraction they equal
         if self._b == 0:

@@ -75,3 +75,34 @@ def test_every_argv_ends_in_a_documented_exit_code(argv):
             code = exc.code
     assert code in range(6), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+RATIONALS = st.sampled_from(("1", "-2", "1/3", "-5/4"))
+
+
+def _field_scalar(d):
+    return st.sampled_from((f"sqrt{d}", f"1+sqrt{d}", f"-1/2√{d}", f"3/2-1/3√{d}"))
+
+
+@st.composite
+def mixed_field_geom(draw):
+    """A geom literal holding irrationals from two different quadratic fields."""
+    d1, d2 = draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=2, max_size=2, unique=True))
+    slots = [draw(RATIONALS) for _ in range(2 * draw(st.integers(1, 2)))]
+    i, j = draw(st.lists(st.integers(0, len(slots) - 1), min_size=2, max_size=2, unique=True))
+    slots[i], slots[j] = draw(_field_scalar(d1)), draw(_field_scalar(d2))
+    return "geom:" + "+".join(f"({c},{r})" for c, r in zip(slots[::2], slots[1::2]))
+
+
+@settings(max_examples=40)
+@given(
+    literal=mixed_field_geom(),
+    cmd=st.sampled_from((("gen",), ("check", "--kind", "first"), ("check", "--kind", "second"))),
+)
+def test_mixed_field_literals_are_parse_errors(literal, cmd):
+    argv = [cmd[0], literal, *cmd[1:], "--depth", "4"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2, (argv, code)
+    assert "cannot mix" in err.getvalue()

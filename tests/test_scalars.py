@@ -120,6 +120,22 @@ def test_rational_equivalence_and_hash():
     assert simplify(TAU1) is TAU1
 
 
+def test_truth_value_is_nonzero():
+    zero = QuadExt(1, 1, 5) - QuadExt(1, 1, 5)
+    assert zero == 0 and not zero
+    assert not QuadExt(0, 0, 2)
+    assert QuadExt(Fraction(3, 2), 0)  # rational-valued, nonzero
+    assert QuadExt(0, Fraction(-1, 3), 7)
+    assert TAU1 and TAU2
+    assert not any([zero, Fraction(0), 0]) and any([zero, TAU2 - TAU2, QuadExt(-1)])
+
+
+@given(quadexts())
+def test_truth_value_matches_comparison_with_zero(x):
+    assert bool(x) == (x != 0)
+    assert not (x - x)
+
+
 def test_integer_powers():
     assert TAU1**0 == 1
     assert TAU1**-1 == TAU1.inverse()
