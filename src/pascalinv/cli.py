@@ -1,5 +1,9 @@
 """Command-line front end: generate, check, transform, display and verify.
 
+Each subcommand takes ``--format`` and, of ``--depth``, ``--mode`` and
+``--seed``, only those it reads (see ``build_parser``); ``check``, ``verify``
+and ``oeis`` print no ``csv``.  Any other flag is a usage error.
+
 Exit codes, for every subcommand:
 
 ====  ==========================================================
@@ -55,6 +59,8 @@ EXIT_PARSE = 2
 EXIT_INVERSE = 3
 EXIT_NEITHER = 4
 EXIT_SUMMATION = 5
+
+_VERDICT_EXIT = {"invariant": EXIT_OK, "inverse-invariant": EXIT_INVERSE, "neither": EXIT_NEITHER}
 
 _NAMED_SEQS = {
     "fib": fibonacci,
@@ -190,12 +196,8 @@ def _emit_terms(label: str, terms, fmt: str, announcement=None) -> None:
             payload["class"] = announcement
         print(json.dumps(payload))
         return
-    line = ",".join(format_scalar(t) for t in terms)
-    if fmt == "csv":
-        print(line)
-        return
-    print(line)
-    if announcement is not None:
+    print(",".join(format_scalar(t) for t in terms))
+    if fmt == "pretty" and announcement is not None:
         print(f"class: {announcement}")
 
 
@@ -215,11 +217,7 @@ def cmd_check(args) -> int:
         if report.first_failure is not None:
             msg += f", first failure at index {report.first_failure}"
         print(msg)
-    if report.verdict == "invariant":
-        return EXIT_OK
-    if report.verdict == "inverse-invariant":
-        return EXIT_INVERSE
-    return EXIT_NEITHER
+    return _VERDICT_EXIT[report.verdict]
 
 
 def cmd_apply(args) -> int:
@@ -248,27 +246,16 @@ def cmd_matrix(args) -> int:
 def cmd_verify(args) -> int:
     from .checks import RunConfig, run_suite
 
-    cfg = RunConfig(depth=args.depth, mode=args.mode, format=args.format, seed=args.seed)
+    cfg = RunConfig(depth=args.depth, mode=args.mode, seed=args.seed)
     results = run_suite(args.suite, cfg)
     all_ok = all(r.passed for r in results)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "suite": args.suite,
-                    "all_passed": all_ok,
-                    "results": [
-                        {
-                            "name": r.name,
-                            "passed": r.passed,
-                            "depth": r.depth,
-                            "elapsed_ms": round(r.elapsed_ms, 3),
-                        }
-                        for r in results
-                    ],
-                }
-            )
-        )
+        rows = [
+            {"name": r.name, "passed": r.passed, "depth": r.depth,
+             "elapsed_ms": round(r.elapsed_ms, 3)}
+            for r in results
+        ]
+        print(json.dumps({"suite": args.suite, "all_passed": all_ok, "results": rows}))
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
@@ -329,67 +316,65 @@ def cmd_oeis(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--depth", type=int, default=32, help="prefix length (default 32)")
-    common.add_argument(
-        "--mode",
-        choices=("classical", "continued"),
-        default="continued",
-        help="summation mode for second-kind sums",
-    )
-    common.add_argument(
-        "--format", choices=("pretty", "json", "csv"), default="pretty"
-    )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomised checks")
+# Options shared by several subcommands; each subcommand takes --format and
+# only those of these that its cmd_* function reads.
+_OPTIONS = {
+    "--depth": dict(type=int, default=32, help="prefix length (default 32)"),
+    "--mode": dict(choices=("classical", "continued"), default="continued",
+                   help="summation mode for second-kind sums"),
+    "--seed": dict(type=int, default=0, help="seed for randomised checks"),
+}
+_NO_CSV = ("pretty", "json")
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pascalinv",
         description="Exact Pascal-matrix calculus and invariant-sequence toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="print a sequence prefix")
-    p.add_argument("sequence")
-    p.set_defaults(func=cmd_gen)
+    def command(name, func, help, *options, formats=("pretty", "json", "csv")):
+        p = sub.add_parser(name, help=help)
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.add_argument("--format", choices=formats, default="pretty")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", parents=[common], help="classify a sequence")
+    p = command("gen", cmd_gen, "print a sequence prefix", "--depth")
+    p.add_argument("sequence")
+
+    p = command("check", cmd_check, "classify a sequence", "--depth", "--mode", formats=_NO_CSV)
     p.add_argument("sequence")
     p.add_argument("--kind", choices=("first", "second"), required=True)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("apply", parents=[common], help="run a transform pipeline")
+    p = command("apply", cmd_apply, "run a transform pipeline", "--depth", "--mode")
     p.add_argument("pipeline")
     p.add_argument("sequence")
-    p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("matrix", parents=[common], help="print an exact matrix block")
+    p = command("matrix", cmd_matrix, "print an exact matrix block")
     p.add_argument("name")
     p.add_argument("--rows", type=int, default=8)
     p.add_argument("--cols", type=int, default=8)
-    p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("verify", parents=[common], help="run identity check suites")
-    p.add_argument(
-        "suite", choices=("inversion", "eigen", "similarity", "transforms", "all")
-    )
-    p.set_defaults(func=cmd_verify)
+    p = command("verify", cmd_verify, "run identity check suites", "--depth", "--mode", "--seed",
+                formats=_NO_CSV)
+    p.add_argument("suite", choices=("inversion", "eigen", "similarity", "transforms", "all"))
 
-    p = sub.add_parser("table1", parents=[common], help="Bernoulli-derived rows, n <= 12")
-    p.set_defaults(func=cmd_table1)
+    command("table1", cmd_table1, "Bernoulli-derived rows, n <= 12")
 
-    p = sub.add_parser("oeis", parents=[common], help="identify an integer sequence")
+    p = command("oeis", cmd_oeis, "identify an integer sequence", "--depth", formats=_NO_CSV)
     p.add_argument("sequence")
     p.add_argument("--offline", action="store_true")
     p.add_argument("--cache-dir", default=None)
-    p.set_defaults(func=cmd_oeis)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.depth < 2:
+    if "depth" in args and args.depth < 2:
         print("depth must be >= 2", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key
 from math import lcm
 from typing import Callable, Optional
 
@@ -194,8 +194,8 @@ class Lazy(Seq):
     Give exactly one of ``oracle(n)``, one term, or ``rows(depth)``, the list
     of terms 0..depth-1 at once.  Images built by this package give ``rows``,
     so a prefix reads each input term once.  Compares by identity and keeps
-    the longest prefix computed so far (an oracle is also memoised per
-    index), so every term is computed once per instance.
+    the longest prefix computed so far, its only cache: ``term(n)`` past that
+    prefix calls the oracle again, while a prefix computes each term once.
     """
 
     oracle: Optional[Callable[[int], Scalar]] = field(default=None, repr=False)
@@ -205,17 +205,15 @@ class Lazy(Seq):
     def __post_init__(self):
         if (self.oracle is None) == (self.rows is None):
             raise ValueError("Lazy needs exactly one of oracle and rows")
-        if self.oracle is not None:
-            object.__setattr__(self, "_memo", lru_cache(maxsize=None)(self.oracle))
         object.__setattr__(self, "_head", [])
 
     def term(self, n):
-        if self.rows is None:
-            return self._memo(n)
         if n < 0:
             raise ValueError("n must be >= 0")
         head = self._head
         if n >= len(head):
+            if self.rows is None:
+                return self.oracle(n)
             # grow geometrically so that reading terms in order stays linear
             head = self._extend(max(n + 1, 2 * len(head)))
         return head[n]
@@ -408,8 +406,7 @@ def apply_upper(op: TriOp, seq: Seq, mode: str = CONTINUED) -> Seq:
     combinations, the latter through per-ratio closed rules known for the
     signed transposed Pascal operator and for inverse Jordan blocks.
     """
-    if mode not in (CLASSICAL, CONTINUED):
-        raise ValueError(f"unknown mode: {mode!r}")
+    require_mode(mode)
     band = op.band
     if isinstance(seq, FinSupp) and band.below is not None:
         return FinSupp(_row_sums(op, seq.terms, seq.support_bound + band.below))
@@ -430,6 +427,12 @@ def apply_upper(op: TriOp, seq: Seq, mode: str = CONTINUED) -> Seq:
         f"{op.label} is unbounded upper; {_describe(seq)} input must be "
         "finitely supported or a geometric combination"
     )
+
+
+def require_mode(mode: str) -> None:
+    """Raise ``ValueError`` unless mode is ``classical`` or ``continued``."""
+    if mode not in (CLASSICAL, CONTINUED):
+        raise ValueError(f"unknown mode: {mode!r}")
 
 
 def _ptd_pair(c: Scalar, r: Scalar, mode: str) -> tuple:
@@ -489,6 +492,7 @@ def check_invariance(
     """
     if kind not in (FIRST, SECOND):
         raise ValueError(f"unknown kind: {kind!r}")
+    require_mode(mode)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if kind == FIRST:

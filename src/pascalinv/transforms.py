@@ -27,6 +27,7 @@ from .sequences import (
     _row_sums,
     apply_upper,
     check_invariance,
+    require_mode,
     seq_add,
     seq_scale,
     shift_down,
@@ -105,6 +106,7 @@ class Pipeline:
     steps: tuple
 
     def apply(self, seq: Seq, mode: str = CONTINUED) -> Seq:
+        require_mode(mode)
         out = seq
         for stage in self.steps:
             out = stage.run(out, mode)

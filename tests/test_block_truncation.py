@@ -1,12 +1,16 @@
 """Block truncation against the entry oracles, band truthfulness, the shared
 product kernel and the absence of unbounded caches."""
 import gc
+import importlib
+import pkgutil
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pascalinv
 from pascalinv import eigenstructure, operators
 from pascalinv.eigenstructure import (
     factor_chain,
@@ -197,6 +201,15 @@ def test_operator_modules_hold_no_caches():
         assert cached == [], mod.__name__
     for op in (compose(make_operator("P"), make_operator("D")), op_power(pd(), 2)):
         assert not hasattr(op.entry, "cache_info")
+
+
+def test_no_module_of_the_package_holds_an_lru_cache():
+    for info in pkgutil.iter_modules(pascalinv.__path__):
+        mod = importlib.import_module(f"pascalinv.{info.name}")
+        cached = [name for name, v in vars(mod).items() if hasattr(v, "cache_info")]
+        assert cached == [], info.name
+    for path in Path(pascalinv.__file__).parent.glob("*.py"):
+        assert "lru_cache" not in path.read_text(encoding="utf-8"), path.name
 
 
 def _retained_bytes(fn):

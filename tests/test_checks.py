@@ -1,9 +1,10 @@
 import pytest
 
-from pascalinv.checks import RunConfig, check_power_columns, run_suite
-from pascalinv.eigenstructure import EigenSpaceId, basis_vector
-from pascalinv.sequences import prefix
-from pascalinv.transforms import converse_check, power_column
+from pascalinv.checks import RunConfig, check_power_columns, check_stabilization, run_suite
+from pascalinv.eigenstructure import EigenSpaceId, basis_vector, factor_chain, make_M, make_N
+from pascalinv.operators import truncate
+from pascalinv.sequences import FinSupp, check_invariance, lucas, prefix
+from pascalinv.transforms import TRANSFORM_STAGES, Pipeline, converse_check, power_column
 
 
 @pytest.mark.parametrize("depth", range(2, 9))
@@ -23,3 +24,37 @@ def test_converse_check_reads_the_whole_support(base, space):
     y = basis_vector(EigenSpaceId(*space), 2)
     assert y.support_bound > 2
     assert converse_check(y, base, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_invariance(lucas(), "first", 8, mode="bogus"),
+        # t42a runs no second-kind sum, so nothing past the entry reads the mode
+        lambda: Pipeline((TRANSFORM_STAGES["t42a"],)).apply(FinSupp((1, 2)), "bogus"),
+        lambda: run_suite("inversion", RunConfig(mode="bogus")),
+    ],
+    ids=["check_invariance", "Pipeline.apply", "run_suite"],
+)
+def test_unknown_mode_is_rejected_at_the_entry(call):
+    with pytest.raises(ValueError, match="unknown mode: 'bogus'"):
+        call()
+
+
+def _chain_matches_closed_form(m):
+    s = 2 * m
+    return all(
+        truncate(factor_chain(kind, m), s, s) == truncate(closed(), s, s)
+        for kind, closed in (("H", make_N), ("U", make_M))
+    )
+
+
+@pytest.mark.parametrize("top", range(1, 7))
+def test_stabilization_at_the_largest_m_decides_every_smaller_one(top):
+    for kind in ("H", "U"):
+        full = factor_chain(kind, top)
+        for m in range(1, top + 1):
+            assert truncate(full, 2 * m, 2 * m) == truncate(factor_chain(kind, m), 2 * m, 2 * m)
+    for depth in (2 * top, 2 * top + 1):
+        passed = check_stabilization(RunConfig(depth=depth))[1]
+        assert passed == all(_chain_matches_closed_form(m) for m in range(1, top + 1))

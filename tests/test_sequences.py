@@ -571,3 +571,29 @@ def test_negative_depth_is_an_error():
     assert apply_finite(pd(), lucas(), 0) == []
     assert prefix(lucas(), 0) == []
     assert Lazy(lambda n: n).prefix(0) == []
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [Lazy(lambda n: n), Lazy(rows=lambda d: list(range(d))), lucas()],
+    ids=["oracle", "rows", "expcomb"],
+)
+def test_negative_index_is_an_error(seq):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        seq.term(-1)
+
+
+def test_oracle_lazy_caches_only_its_prefix():
+    calls = Counter()
+
+    def oracle(n):
+        calls[n] += 1
+        return Fraction(1, n + 1)
+
+    seq = Lazy(oracle)
+    assert prefix(seq, 6) == [Fraction(1, n + 1) for n in range(6)]
+    assert [seq.term(n) for n in range(6)] == prefix(seq, 6)
+    assert max(calls.values()) == 1  # inside the prefix, term reads the cache
+    assert seq.term(9) == seq.term(9) == Fraction(1, 10)
+    assert calls[9] == 2  # past it, each read asks the oracle
+    assert not any(hasattr(v, "cache_info") for v in vars(seq).values())
