@@ -16,8 +16,8 @@ from . import transforms as tr
 from .operators import compose, make_operator, op_power, pd, ptd, truncate, DenseMat
 from .sequences import (
     CONTINUED,
-    FIRST,
-    SECOND,
+    INVARIANT,
+    INVERSE_INVARIANT,
     AltBernoulli,
     FinSupp,
     KSeq,
@@ -50,20 +50,20 @@ class CheckResult:
     detail: str = ""
 
 
+# the verdict a member of the sign's eigenspace gets
+_WANTED = {1: INVARIANT, -1: INVERSE_INVARIANT}
+
+
 def _random_finsupp(rng: random.Random, max_len: int = 8) -> FinSupp:
     n = rng.randint(1, max_len)
     terms = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)]
     return FinSupp(terms)
 
 
-def _result(name, passed, detail=""):
-    return name, passed, detail
-
-
 def check_pd_involution(cfg: RunConfig):
     s = cfg.depth
     ok = truncate(op_power(pd(), 2), s, s) == DenseMat.identity(s)
-    return _result("pd-involution", ok)
+    return "pd-involution", ok
 
 
 def check_pascal_inverse(cfg: RunConfig):
@@ -73,7 +73,7 @@ def check_pascal_inverse(cfg: RunConfig):
     dpd = compose(d, compose(p, d))
     ok = truncate(compose(dpd, p), s, s) == DenseMat.identity(s)
     ok = ok and truncate(compose(p, dpd), s, s) == DenseMat.identity(s)
-    return _result("pascal-inverse", ok)
+    return "pascal-inverse", ok
 
 
 def check_ptd_involution(cfg: RunConfig):
@@ -86,7 +86,7 @@ def check_ptd_involution(cfg: RunConfig):
         if twice != x:
             ok = False
             break
-    return _result("ptd-involution", ok)
+    return "ptd-involution", ok
 
 
 def check_binomial_involution(cfg: RunConfig):
@@ -100,7 +100,7 @@ def check_binomial_involution(cfg: RunConfig):
         if twice != prefix(x, cfg.depth):
             ok = False
             break
-    return _result("binomial-involution", ok)
+    return "binomial-involution", ok
 
 
 def check_nm_identity(cfg: RunConfig):
@@ -109,14 +109,14 @@ def check_nm_identity(cfg: RunConfig):
     ident = DenseMat.identity(s)
     ok = truncate(compose(n_op, m_op), s, s) == ident
     ok = ok and truncate(compose(m_op, n_op), s, s) == ident
-    return _result("NM-identity", ok)
+    return "NM-identity", ok
 
 
 def check_block_diag(cfg: RunConfig):
     # every smaller block sum is the top-left corner of the largest one
     m = min(8, cfg.depth // 2)
     ok = m < 1 or eig.verify_block_diag(m)
-    return _result("block-diag", ok)
+    return "block-diag", ok
 
 
 def check_stabilization(cfg: RunConfig):
@@ -128,7 +128,7 @@ def check_stabilization(cfg: RunConfig):
         truncate(eig.factor_chain("H", m), s, s) == truncate(eig.make_N(), s, s)
         and truncate(eig.factor_chain("U", m), s, s) == truncate(eig.make_M(), s, s)
     )
-    return _result("stabilization", ok)
+    return "stabilization", ok
 
 
 def _eigen_pair(space: eig.EigenSpaceId, j: int, depth: int) -> bool:
@@ -149,7 +149,7 @@ def check_basis_eigen(cfg: RunConfig):
             for j in range(9):
                 if not _eigen_pair(space, j, cfg.depth):
                     ok = False
-    return _result("basis-eigen", ok)
+    return "basis-eigen", ok
 
 
 _MATRIX_FORMS = {
@@ -170,7 +170,7 @@ def check_basis_matrix_agreement(cfg: RunConfig):
             col = [mat.entry(i, j) for i in range(cfg.depth)]
             if prefix(vec, cfg.depth) != col:
                 ok = False
-    return _result("basis-matrix-agreement", ok)
+    return "basis-matrix-agreement", ok
 
 
 _TABLE1_B = [
@@ -192,7 +192,7 @@ def check_table1(cfg: RunConfig):
     ok = b == _TABLE1_B
     ok = ok and db == [(-1) ** n * v for n, v in enumerate(_TABLE1_B)]
     ok = ok and k == _TABLE1_K
-    return _result("table1", ok)
+    return "table1", ok
 
 
 def check_transform_orbit(cfg: RunConfig):
@@ -205,20 +205,14 @@ def check_transform_orbit(cfg: RunConfig):
     ok = ok and prefix(tr.t42b(j0l, cfg.mode), dep) == prefix(j0f, dep)
     ok = ok and prefix(tr.t42c(AltBernoulli()), dep) == prefix(KSeq(), dep)
     ok = ok and prefix(tr.t42d(KSeq()), dep) == prefix(AltBernoulli(), dep)
-    return _result("transform-orbit", ok)
-
-
-_POWER_COLUMN_CLASSES = {
-    "P+D": (FIRST, "invariant"),
-    "P-D": (FIRST, "inverse-invariant"),
-    "PT+D": (SECOND, "invariant"),
-    "PT-D": (SECOND, "inverse-invariant"),
-}
+    return "transform-orbit", ok
 
 
 def check_power_columns(cfg: RunConfig):
     ok = True
-    for base, (kind, wanted) in _POWER_COLUMN_CLASSES.items():
+    for base in ("P+D", "P-D", "PT+D", "PT-D"):
+        kind, sign = tr.power_column_class(base)
+        wanted = _WANTED[sign]
         for n in (1, 2):
             for j in range(5):
                 col = tr.power_column(base, n, j)
@@ -228,7 +222,7 @@ def check_power_columns(cfg: RunConfig):
                 # a column can start with more zero rows than the depth: inconclusive
                 if report.verdict != wanted and any(prefix(col, cfg.depth)):
                     ok = False
-    return _result("power-columns", ok)
+    return "power-columns", ok
 
 
 def check_orthogonality(cfg: RunConfig):
@@ -248,7 +242,7 @@ def check_orthogonality(cfg: RunConfig):
         y = eig.basis_vector(eig.EigenSpaceId(*space), 2)
         if not tr.converse_check(y, base, min(cfg.depth, 24)):
             ok = False
-    return _result("orthogonality", ok)
+    return "orthogonality", ok
 
 
 def check_pipeline_classes(cfg: RunConfig):
@@ -263,7 +257,7 @@ def check_pipeline_classes(cfg: RunConfig):
         for n in (1, 2, 3):
             pipe = build(n, variant)
             kind, sign = pipe.output_class()
-            wanted = "invariant" if sign == 1 else "inverse-invariant"
+            wanted = _WANTED[sign]
             for _ in range(3):
                 x = _random_finsupp(rng, max_len=5)
                 if x.support_bound == 0:
@@ -272,7 +266,7 @@ def check_pipeline_classes(cfg: RunConfig):
                 report = check_invariance(y, kind, dep, cfg.mode)
                 if report.verdict != wanted and prefix(y, dep) != [0] * dep:
                     ok = False
-    return _result("pipeline-classes", ok)
+    return "pipeline-classes", ok
 
 
 SUITES = {
@@ -306,7 +300,7 @@ def run_suite(suite: str, cfg: RunConfig) -> list[CheckResult]:
     for name in names:
         for fn in SUITES[name]:
             start = time.perf_counter()
-            check_name, passed, detail = fn(cfg)
+            check_name, passed = fn(cfg)
             elapsed = (time.perf_counter() - start) * 1000.0
-            results.append(CheckResult(check_name, passed, cfg.depth, elapsed, detail))
+            results.append(CheckResult(check_name, passed, cfg.depth, elapsed))
     return results

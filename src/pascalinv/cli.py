@@ -11,7 +11,8 @@ code  meaning
 ====  ==========================================================
 0     success (``check``: invariant)
 1     ``verify``: a check failed; ``oeis``: the lookup failed
-      (network error, or an ``--offline`` cache miss)
+      (network error, or an ``--offline`` cache miss); any
+      command: stdout was closed before all output was written
 2     parse or usage error, a depth below 2, or a non-integer
       prefix given to ``oeis``
 3     ``check``: inverse invariant
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from importlib import import_module
@@ -378,7 +380,14 @@ def main(argv=None) -> int:
         print("depth must be >= 2", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (say, piped into head): point it at devnull
+        # so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except LiteralError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

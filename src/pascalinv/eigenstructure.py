@@ -205,30 +205,8 @@ def coords_first_kind(x: Seq, sign: int, depth: int) -> CoordResult:
         raise ValueError("sign must be +1 or -1")
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    basis = qdown() if sign == 1 else zero_top_pdown()
-    pivot_of = (lambda j: 2 * j) if sign == 1 else (lambda j: 2 * j + 1)
-    ncoef = sum(1 for j in range(depth) if pivot_of(j) < depth)
-    if ncoef == 0:
-        raise ValueError("depth too small to determine any coefficient")
-    xs = prefix(x, depth)
-    coeffs: list = []
-    pivots = []
-    for j in range(ncoef):
-        row = pivot_of(j)
-        pivots.append(row)
-        acc = xs[row] - sum(coeffs[t] * basis.entry(row, t) for t in range(j))
-        lead = basis.entry(row, j)
-        coeffs.append(acc if lead == 1 else exact_div(acc, lead))
-    residual_ok = True
-    pivot_set = set(pivots)
-    for i in range(depth):
-        if i in pivot_set:
-            continue
-        recon = sum(coeffs[t] * basis.entry(i, t) for t in range(ncoef))
-        if recon != xs[i]:
-            residual_ok = False
-            break
-    return CoordResult(coeffs, residual_ok, pivots)
+    basis, first = (qdown(), 0) if sign == 1 else (zero_top_pdown(), 1)
+    return _expand(basis, prefix(x, depth), range(first, depth, 2))
 
 
 def formal_coords_second_kind(x: Seq, sign: int, depth: int) -> CoordResult:
@@ -243,9 +221,21 @@ def formal_coords_second_kind(x: Seq, sign: int, depth: int) -> CoordResult:
     if depth < 2:
         raise ValueError("depth must be >= 2")
     basis = ptdown() if sign == 1 else qtdown00()
-    xs = prefix(x, depth)
+    return _expand(basis, prefix(x, depth), range(depth))
+
+
+def _expand(basis: TriOp, xs: list, pivots: range) -> CoordResult:
+    """Solve for coefficient j on pivot row pivots[j] by forward substitution
+    over the basis columns; ``residual_ok`` says every other row agrees."""
+    rows = truncate(basis, len(xs), len(pivots)).data
     coeffs: list = []
-    for i in range(depth):
-        acc = xs[i] - sum(coeffs[t] * basis.entry(i, t) for t in range(i))
-        coeffs.append(acc)
-    return CoordResult(coeffs, True, list(range(depth)))
+
+    def dot(i):
+        return sum(c * b for c, b in zip(coeffs, rows[i]))
+
+    for j, i in enumerate(pivots):
+        acc = xs[i] - dot(i)
+        lead = rows[i][j]
+        coeffs.append(acc if lead == 1 else exact_div(acc, lead))
+    residual_ok = all(dot(i) == xs[i] for i in range(len(xs)) if i not in pivots)
+    return CoordResult(coeffs, residual_ok, list(pivots))

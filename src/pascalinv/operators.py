@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import reduce
 from typing import Callable, Optional
 
 from .errors import InfiniteSumError
-from .scalars import (
-    QuadExt,
-    Scalar,
-    binomial,
-    format_scalar,
-    scalar_to_json,
-)
+from .scalars import Scalar, binomial, exact_div, format_scalar, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -37,7 +30,6 @@ class Band:
 
 LOWER = Band(None, 0)
 UPPER = Band(0, None)
-GENERAL = Band(None, None)
 
 
 def banded(lo: int, hi: int) -> Band:
@@ -80,10 +72,23 @@ class TriOp:
         return f"TriOp({self.label!r}, {self.shape})"
 
 
-def _scalar_inverse(x: Scalar) -> Scalar:
-    if isinstance(x, QuadExt):
-        return x.inverse()
-    return Fraction(1) / Fraction(x)
+def _q_entry(i: int, j: int) -> int:
+    # block sum P + (1 (+) P): the corner of the second block contributes 1 at (0, 0)
+    block = 1 if i == 0 and j == 0 else binomial(i - 1, j - 1)
+    return binomial(i, j) + block
+
+
+# name -> (band, entry, label) of every operator that takes no parameter
+_NAMED = {
+    "P": (LOWER, lambda i, j: binomial(i, j), "P"),
+    "PT": (UPPER, lambda i, j: binomial(j, i), "P^T"),
+    "D": (banded(0, 0), lambda i, j: (-1) ** i if i == j else 0, "D"),
+    "A": (UPPER, lambda i, j: (-1) ** (j - i) if i <= j else 0, "A"),
+    "L": (LOWER, lambda i, j: (-1) ** (i + j) if i >= j else 0, "L"),
+    "Omega": (LOWER, lambda i, j: 1 if i >= j else 0, "Ω"),
+    "Q": (LOWER, _q_entry, "Q"),
+    "QT": (UPPER, lambda i, j: _q_entry(j, i), "Q^T"),
+}
 
 
 def make_operator(name: str, param: Scalar | None = None) -> TriOp:
@@ -97,53 +102,19 @@ def make_operator(name: str, param: Scalar | None = None) -> TriOp:
             raise ValueError(f"{name} requires a parameter")
     elif param is not None:
         raise ValueError(f"{name} takes no parameter")
-
-    if name == "P":
-        return TriOp(LOWER, lambda i, j: binomial(i, j), "P", ("P",))
-    if name == "PT":
-        return TriOp(UPPER, lambda i, j: binomial(j, i), "P^T", ("PT",))
-    if name == "D":
-        return TriOp(banded(0, 0), lambda i, j: (-1) ** i if i == j else 0, "D", ("D",))
     if name == "J":
-        a = param
-
-        def j_entry(i, j, a=a):
-            if j == i:
-                return a
-            if j == i + 1:
-                return 1
-            return 0
-
-        return TriOp(banded(0, 1), j_entry, f"J({format_scalar(a)})", ("J", a))
+        entry = lambda i, j: param if j == i else int(j == i + 1)
+        return TriOp(banded(0, 1), entry, f"J({format_scalar(param)})", ("J", param))
     if name == "Jinv":
-        a = param
-        if a == 0:
+        if param == 0:
             raise ValueError("Jinv parameter must be nonzero")
-        ainv = _scalar_inverse(a)
-
-        def jinv_entry(i, j, ainv=ainv):
-            if i > j:
-                return 0
-            return (-1) ** (j - i) * ainv ** (j - i + 1)
-
-        return TriOp(UPPER, jinv_entry, f"J({format_scalar(a)})^-1", ("Jinv", a))
-    if name == "A":
-        return TriOp(UPPER, lambda i, j: (-1) ** (j - i) if i <= j else 0, "A", ("A",))
-    if name == "L":
-        return TriOp(LOWER, lambda i, j: (-1) ** (i + j) if i >= j else 0, "L", ("L",))
-    if name == "Omega":
-        return TriOp(LOWER, lambda i, j: 1 if i >= j else 0, "Ω", ("Omega",))
-    if name == "Q":
-        return TriOp(LOWER, _q_entry, "Q", ("Q",))
-    if name == "QT":
-        return TriOp(UPPER, lambda i, j: _q_entry(j, i), "Q^T", ("QT",))
-    raise ValueError(f"unknown operator name: {name!r}")
-
-
-def _q_entry(i: int, j: int) -> int:
-    # block sum P + (1 (+) P): the corner of the second block contributes 1 at (0, 0)
-    block = 1 if i == 0 and j == 0 else binomial(i - 1, j - 1)
-    return binomial(i, j) + block
+        ainv = exact_div(1, param)
+        entry = lambda i, j: (-1) ** (j - i) * ainv ** (j - i + 1) if i <= j else 0
+        return TriOp(UPPER, entry, f"J({format_scalar(param)})^-1", ("Jinv", param))
+    if name not in _NAMED:
+        raise ValueError(f"unknown operator name: {name!r}")
+    band, entry, label = _NAMED[name]
+    return TriOp(band, entry, label, (name,))
 
 
 def pd() -> TriOp:

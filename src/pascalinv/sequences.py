@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
+from operator import neg
 from typing import Callable, Optional
 
 from .errors import (
@@ -480,6 +481,9 @@ class InvarianceReport:
     first_failure: Optional[int] = None
 
 
+_SECOND_KIND_MODE = {CONTINUED: "closed-form", CLASSICAL: "classical-partial-sum"}
+
+
 def check_invariance(
     seq: Seq, kind: str, depth: int, mode: str = CONTINUED
 ) -> InvarianceReport:
@@ -488,44 +492,32 @@ def check_invariance(
     First-kind checks apply the signed Pascal involution row by row (exact for
     every sequence class).  Second-kind checks apply its transpose through
     :func:`apply_upper` and therefore require finitely supported or geometric
-    input.
+    input.  A verdict of neither reports as ``first_failure`` the first index
+    by which both comparisons have failed.
     """
     if kind not in (FIRST, SECOND):
         raise ValueError(f"unknown kind: {kind!r}")
     require_mode(mode)
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if kind == SECOND and not isinstance(seq, (FinSupp, ExpComb)):
+        raise UnsupportedSequenceError(
+            "second-kind checks need finitely supported or geometric input"
+        )
+    xs = prefix(seq, depth)
     if kind == FIRST:
-        original = prefix(seq, depth)
-        transformed = _row_sums(pd(), original, depth)
-        report_mode = "exact-finite"
+        image = _row_sums(pd(), xs, depth)
     else:
-        if not isinstance(seq, (FinSupp, ExpComb)):
-            raise UnsupportedSequenceError(
-                "second-kind checks need finitely supported or geometric input"
-            )
-        transformed = apply_upper(ptd(), seq, mode).prefix(depth)
-        original = prefix(seq, depth)
-        if isinstance(seq, FinSupp):
-            report_mode = "exact-finite"
-        else:
-            report_mode = "closed-form" if mode == CONTINUED else "classical-partial-sum"
-
-    plus_ok = True
-    minus_ok = True
-    failure = None
-    for i in range(depth):
-        if plus_ok and transformed[i] != original[i]:
-            plus_ok = False
-        if minus_ok and transformed[i] != -original[i]:
-            minus_ok = False
-        if not plus_ok and not minus_ok:
-            failure = i
-            break
-    if plus_ok:
-        verdict = INVARIANT
-    elif minus_ok:
-        verdict = INVERSE_INVARIANT
-    else:
-        verdict = NEITHER
+        image = apply_upper(ptd(), seq, mode).prefix(depth)
+    exact = kind == FIRST or isinstance(seq, FinSupp)
+    report_mode = "exact-finite" if exact else _SECOND_KIND_MODE[mode]
+    plus = _first_mismatch(image, xs)
+    minus = None if plus is None else _first_mismatch(image, map(neg, xs))
+    verdict = INVARIANT if plus is None else INVERSE_INVARIANT if minus is None else NEITHER
+    failure = None if minus is None else max(plus, minus)
     return InvarianceReport(kind, verdict, depth, report_mode, failure)
+
+
+def _first_mismatch(ys: list, xs) -> Optional[int]:
+    """The first index where ys and xs differ, or None."""
+    return next((i for i, (y, x) in enumerate(zip(ys, xs)) if y != x), None)

@@ -1,4 +1,5 @@
-"""Fresh-process tests of the lazy imports behind the CLI and the package.
+"""Fresh-process tests of the lazy imports behind the CLI and the package,
+and of how the CLI ends when its stdout is closed early.
 
 An in-process test imports every module before it runs, so it would hide a
 subcommand that uses a module it never imports.  Each command here runs in a
@@ -33,11 +34,16 @@ EXPORTED = (
 ).split()
 
 
-def _python(*args, env=()):
+def _python(*args, env=(), stdout=subprocess.PIPE):
     full_env = {k: v for k, v in os.environ.items() if not k.startswith("PASCALINV_")}
     full_env.update(env, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, *args], env=full_env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args],
+        env=full_env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
     )
 
 
@@ -72,6 +78,25 @@ def test_lazy_path_in_a_fresh_process(tmp_path, argv, fixtures, code, marker):
     assert proc.returncode == code, proc.stderr
     assert marker in (proc.stdout if code == 0 else proc.stderr)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "N", "--rows", "64", "--cols", "64", "--format", "json"),
+        ("gen", "kseq", "--depth", "400"),
+    ],
+    ids=["matrix-json", "gen-kseq"],
+)
+def test_stdout_closed_early_ends_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with a broken pipe
+    try:
+        proc = _python("-m", "pascalinv", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert 0 <= proc.returncode <= 5
 
 
 def test_every_exported_name_resolves():

@@ -19,7 +19,9 @@ from pascalinv.operators import (
     transpose,
     truncate,
 )
-from pascalinv.scalars import binomial, scalar_from_json
+from pascalinv.scalars import QuadExt, binomial, scalar_from_json
+
+ROOT5 = QuadExt(0, 1, 5)
 
 # down-shifted transposed Pascal matrix as displayed, rows 0..7
 PT_DOWN_8 = [
@@ -59,7 +61,7 @@ def test_jordan_blocks():
 
 
 def test_jinv_inverts_j():
-    for a in (2, -2, Fraction(3, 2)):
+    for a in (2, -2, Fraction(3, 2), ROOT5):
         prod = compose(make_operator("J", a), make_operator("Jinv", a))
         assert truncate(prod, 10, 10) == DenseMat.identity(10)
 
@@ -73,6 +75,47 @@ def test_jinv_requires_nonzero_param():
         make_operator("P", 3)
     with pytest.raises(ValueError):
         make_operator("nope")
+
+
+# (name, param) -> (label, tag, (band.below, band.above))
+NAMED_SNAPSHOT = {
+    ("P", None): ("P", ("P",), (None, 0)),
+    ("PT", None): ("P^T", ("PT",), (0, None)),
+    ("D", None): ("D", ("D",), (0, 0)),
+    ("A", None): ("A", ("A",), (0, None)),
+    ("L", None): ("L", ("L",), (None, 0)),
+    ("Omega", None): ("Ω", ("Omega",), (None, 0)),
+    ("Q", None): ("Q", ("Q",), (None, 0)),
+    ("QT", None): ("Q^T", ("QT",), (0, None)),
+    ("J", 2): ("J(2)", ("J", 2), (0, 1)),
+    ("J", ROOT5): ("J(√5)", ("J", ROOT5), (0, 1)),
+    ("Jinv", Fraction(1, 2)): ("J(1/2)^-1", ("Jinv", Fraction(1, 2)), (0, None)),
+    ("Jinv", ROOT5): ("J(√5)^-1", ("Jinv", ROOT5), (0, None)),
+}
+
+
+@pytest.mark.parametrize("name, param", list(NAMED_SNAPSHOT), ids=lambda v: str(v))
+def test_named_operator_snapshot(name, param):
+    op = make_operator(name, param)
+    assert (op.label, op.tag, (op.band.below, op.band.above)) == NAMED_SNAPSHOT[name, param]
+
+
+@pytest.mark.parametrize(
+    "name, param, message",
+    [
+        ("J", None, "J requires a parameter"),
+        ("Jinv", None, "Jinv requires a parameter"),
+        ("P", 3, "P takes no parameter"),
+        ("nope", 1, "nope takes no parameter"),
+        ("nope", None, "unknown operator name: 'nope'"),
+        ("Jinv", 0, "Jinv parameter must be nonzero"),
+        ("Jinv", QuadExt(0, 0, 5), "Jinv parameter must be nonzero"),
+    ],
+)
+def test_make_operator_error_messages(name, param, message):
+    with pytest.raises(ValueError) as info:
+        make_operator(name, param)
+    assert str(info.value) == message
 
 
 def test_q_matches_block_sum():
