@@ -13,8 +13,9 @@ code  meaning
 1     ``verify``: a check failed; ``oeis``: the lookup failed
       (network error, or an ``--offline`` cache miss); any
       command: stdout was closed before all output was written
-2     parse or usage error, a depth below 2, or a non-integer
-      prefix given to ``oeis``
+2     parse or usage error, a depth below 2, a non-integer
+      prefix given to ``oeis``, or an ``apply`` pipeline nested
+      too deeply to evaluate (Python's recursion limit)
 3     ``check``: inverse invariant
 4     ``check``: neither
 5     summation error
@@ -35,7 +36,7 @@ from importlib import import_module
 from typing import TYPE_CHECKING
 
 from .errors import PascalinvError
-from .operators import make_operator, truncate
+from .operators import _NAMED, make_operator, truncate
 from .scalars import QuadExt, format_scalar, parse_scalar, scalar_to_json
 from .sequences import (
     AltBernoulli,
@@ -44,10 +45,8 @@ from .sequences import (
     FinSupp,
     KSeq,
     Seq,
-    bernoulli_number,
     check_invariance,
     fibonacci,
-    k_number,
     lucas,
     prefix,
 )
@@ -165,11 +164,10 @@ _MATRIX_EXTRA = {
     "QTdown00": "qtdown00",
     "ZeroTopPdown": "zero_top_pdown",
 }
-_MATRIX_PLAIN = ("P", "PT", "D", "A", "L", "Omega", "Q", "QT")
 
 
 def resolve_matrix(name: str):
-    if name in _MATRIX_PLAIN:
+    if name in _NAMED:
         return make_operator(name)
     if name in _MATRIX_EXTRA:
         return getattr(import_module(__package__), _MATRIX_EXTRA[name])()
@@ -225,9 +223,14 @@ def cmd_check(args) -> int:
 def cmd_apply(args) -> int:
     pipe = parse_pipeline(args.pipeline)
     seq = parse_sequence(args.sequence)
-    out = pipe.apply(seq, args.mode)
+    try:
+        terms = prefix(pipe.apply(seq, args.mode), args.depth)
+    except RecursionError:
+        # each stage nests the lazy images of the stages before it
+        print(f"error: {len(pipe.steps)} stages nest past the recursion limit", file=sys.stderr)
+        return EXIT_PARSE
     announcement = _class_phrase(pipe.output_class())
-    _emit_terms(pipe.describe(), prefix(out, args.depth), args.format, announcement)
+    _emit_terms(pipe.describe(), terms, args.format, announcement)
     return EXIT_OK
 
 
@@ -267,11 +270,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    rows = {
-        "B": [bernoulli_number(n) for n in range(13)],
-        "DB": [(-1) ** n * bernoulli_number(n) for n in range(13)],
-        "K": [k_number(n) for n in range(13)],
-    }
+    rows = {"B": prefix(Bernoulli(), 13), "DB": prefix(AltBernoulli(), 13), "K": prefix(KSeq(), 13)}
     if args.format == "json":
         print(
             json.dumps(

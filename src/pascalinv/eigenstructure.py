@@ -28,7 +28,7 @@ from .operators import (
     truncate,
 )
 from .scalars import binomial, exact_div
-from .sequences import FinSupp, Lazy, Seq, prefix
+from .sequences import FIRST, SECOND, FinSupp, Lazy, Seq, prefix
 
 
 def _n_entry(i: int, j: int) -> int:
@@ -145,6 +145,16 @@ def zero_top_pdown() -> TriOp:
     return TriOp(LOWER, lambda i, j: binomial(i - 1 - j, j) if i > j else 0, "J(0)^T·P↓")
 
 
+# (kind, sign) -> the matrix whose columns span that eigenspace: the sign's
+# eigenspace of P D for the first kind, of P^T D for the second
+BASIS_MATRICES = {
+    (FIRST, 1): qdown,
+    (FIRST, -1): zero_top_pdown,
+    (SECOND, 1): ptdown,
+    (SECOND, -1): qtdown00,
+}
+
+
 @dataclass(frozen=True)
 class EigenSpaceId:
     """One of the four eigenspaces: operator 'PD' or 'PTD', eigenvalue +1 or -1."""
@@ -158,6 +168,11 @@ class EigenSpaceId:
         if self.eigenvalue not in (1, -1):
             raise ValueError("eigenvalue must be +1 or -1")
 
+    @property
+    def kind(self) -> str:
+        """The invariance kind of the space's members: first for P D, second for P^T D."""
+        return FIRST if self.operator == "PD" else SECOND
+
 
 def basis_vector(space: EigenSpaceId, j: int) -> Seq:
     """The j-th basis vector of the given eigenspace.
@@ -168,7 +183,7 @@ def basis_vector(space: EigenSpaceId, j: int) -> Seq:
     """
     if j < 0:
         raise ValueError("j must be >= 0")
-    if space.operator == "PTD":
+    if space.kind == SECOND:
         if space.eigenvalue == 1:
             return FinSupp([0] * j + [binomial(j, t) for t in range(j + 1)])
         return FinSupp(
@@ -201,12 +216,8 @@ def coords_first_kind(x: Seq, sign: int, depth: int) -> CoordResult:
     sign -1), so the non-pivot rows carry real constraints: ``residual_ok``
     is the membership verdict at this depth.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
-    basis, first = (qdown(), 0) if sign == 1 else (zero_top_pdown(), 1)
-    return _expand(basis, prefix(x, depth), range(first, depth, 2))
+    basis = _basis(FIRST, sign, depth)
+    return _expand(basis, prefix(x, depth), range((1 - sign) // 2, depth, 2))
 
 
 def formal_coords_second_kind(x: Seq, sign: int, depth: int) -> CoordResult:
@@ -216,12 +227,15 @@ def formal_coords_second_kind(x: Seq, sign: int, depth: int) -> CoordResult:
     so the solve always succeeds; the coefficients are formal expansion data
     and carry no membership information.
     """
+    return _expand(_basis(SECOND, sign, depth), prefix(x, depth), range(depth))
+
+
+def _basis(kind: str, sign: int, depth: int) -> TriOp:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    basis = ptdown() if sign == 1 else qtdown00()
-    return _expand(basis, prefix(x, depth), range(depth))
+    return BASIS_MATRICES[kind, sign]()
 
 
 def _expand(basis: TriOp, xs: list, pivots: range) -> CoordResult:

@@ -46,6 +46,9 @@ INVARIANT = "invariant"
 INVERSE_INVARIANT = "inverse-invariant"
 NEITHER = "neither"
 
+# the verdict a member of the sign's eigenspace gets
+VERDICT_OF_SIGN = {1: INVARIANT, -1: INVERSE_INVARIANT}
+
 TAU1 = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
 TAU2 = QuadExt(Fraction(1, 2), Fraction(-1, 2), 5)
 INV_SQRT5 = QuadExt(0, Fraction(1, 5), 5)
@@ -108,9 +111,9 @@ class FinSupp(Seq):
         object.__setattr__(self, "terms", ts)
 
     def term(self, n):
-        if 0 <= n < len(self.terms):
-            return self.terms[n]
-        return 0
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        return self.terms[n] if n < len(self.terms) else 0
 
     @property
     def support_bound(self) -> int:
@@ -242,8 +245,6 @@ def _describe(seq: Seq) -> str:
 
 
 def term(seq: Seq, n: int) -> Scalar:
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return seq.term(n)
 
 
@@ -516,6 +517,16 @@ def check_invariance(
     verdict = INVARIANT if plus is None else INVERSE_INVARIANT if minus is None else NEITHER
     failure = None if minus is None else max(plus, minus)
     return InvarianceReport(kind, verdict, depth, report_mode, failure)
+
+
+def in_eigenspace(
+    seq: Seq, kind: str, sign: int, depth: int, mode: str = CONTINUED
+) -> bool:
+    """Whether :func:`check_invariance` gives seq the sign's verdict, or its
+    depth-prefix is all zero: the zero sequence lies in every eigenspace, and
+    a member may start with more zero rows than the depth."""
+    report = check_invariance(seq, kind, depth, mode)
+    return report.verdict == VERDICT_OF_SIGN[sign] or not any(prefix(seq, depth))
 
 
 def _first_mismatch(ys: list, xs) -> Optional[int]:

@@ -26,14 +26,14 @@ from .sequences import (
     _image,
     _row_sums,
     apply_upper,
-    check_invariance,
+    in_eigenspace,
     require_mode,
     seq_add,
     seq_scale,
     shift_down,
     shift_up,
 )
-from .eigenstructure import ptdown, qdown, qtdown00, zero_top_pdown
+from .eigenstructure import BASIS_MATRICES
 
 
 def t42a(x: Seq) -> Seq:
@@ -122,8 +122,9 @@ class Pipeline:
         return " ; ".join(stage.name for stage in self.steps)
 
 
-def _matrix_stage(name, op_factory, sets, finsupp_rows=None) -> Stage:
-    op = op_factory()
+def _matrix_stage(name, sets, finsupp_rows=None) -> Stage:
+    """Projection onto the eigenspace ``sets`` through its spanning matrix."""
+    op = BASIS_MATRICES[sets]()
 
     def run(seq, mode):
         if isinstance(seq, FinSupp) and finsupp_rows is not None:
@@ -133,14 +134,10 @@ def _matrix_stage(name, op_factory, sets, finsupp_rows=None) -> Stage:
     return Stage(name, run, sets=sets)
 
 
-_STAGE_PTDOWN = _matrix_stage(
-    "PTdown", ptdown, sets=(SECOND, 1), finsupp_rows=lambda b: 2 * b
-)
-_STAGE_QTDOWN00 = _matrix_stage(
-    "QTdown00", qtdown00, sets=(SECOND, -1), finsupp_rows=lambda b: 2 * b + 2
-)
-_STAGE_QDOWN = _matrix_stage("Qdown", qdown, sets=(FIRST, 1))
-_STAGE_ZERO_TOP_PDOWN = _matrix_stage("[0;Pdown]", zero_top_pdown, sets=(FIRST, -1))
+_STAGE_PTDOWN = _matrix_stage("PTdown", (SECOND, 1), finsupp_rows=lambda b: 2 * b)
+_STAGE_QTDOWN00 = _matrix_stage("QTdown00", (SECOND, -1), finsupp_rows=lambda b: 2 * b + 2)
+_STAGE_QDOWN = _matrix_stage("Qdown", (FIRST, 1))
+_STAGE_ZERO_TOP_PDOWN = _matrix_stage("[0;Pdown]", (FIRST, -1))
 
 _STAGE_T42A = Stage("(J(1)+J(0))^T", lambda s, m: t42a(s), domain=(SECOND, 1))
 _STAGE_T42B = Stage("J(2)^-1·J(0)", lambda s, m: t42b(s, m), domain=(SECOND, -1))
@@ -166,26 +163,22 @@ def build_phi(n: int, variant: str = "plain") -> Pipeline:
     Odd/even length decides the class of the output.
     """
     return _build(n, variant, plain=(_STAGE_PTDOWN, _STAGE_T42A),
-                  tilde=(_STAGE_T42B, _STAGE_QTDOWN00))
+                  tilde=(_STAGE_QTDOWN00, _STAGE_T42B))
 
 
 def build_psi(n: int, variant: str = "plain") -> Pipeline:
     """First-kind generator pipeline of length n, mirroring :func:`build_phi`."""
     return _build(n, variant, plain=(_STAGE_QDOWN, _STAGE_T42C),
-                  tilde=(_STAGE_T42D, _STAGE_ZERO_TOP_PDOWN))
+                  tilde=(_STAGE_ZERO_TOP_PDOWN, _STAGE_T42D))
 
 
-def _build(n, variant, plain, tilde) -> Pipeline:
+def _build(n, variant, **orders) -> Pipeline:
+    """The variant's two stages, in run order, repeated to length n."""
     if n < 1:
         raise ValueError("pipeline length must be >= 1")
-    if variant not in ("plain", "tilde"):
+    if variant not in orders:
         raise ValueError(f"variant must be 'plain' or 'tilde', got {variant!r}")
-    pos_stage, neg_stage = plain if variant == "plain" else tilde
-    steps = []
-    for i in range(1, n + 1):
-        sign = (-1) ** (i + 1) if variant == "plain" else (-1) ** i
-        steps.append(pos_stage if sign == 1 else neg_stage)
-    return Pipeline(tuple(steps))
+    return Pipeline((orders[variant] * n)[:n])
 
 
 _POWER_BASES = {
@@ -248,11 +241,11 @@ def orthogonality(x: Seq, y: Seq, depth: int = 32) -> Scalar:
     )
 
 
+# each first-kind eigenspace is orthogonal to the second-kind space of the
+# opposite sign, so orthogonality to a base's columns predicts that class
 _CONVERSE_CLASSES = {
-    "P+D": (SECOND, -1),
-    "P-D": (SECOND, 1),
-    "PT+D": (FIRST, -1),
-    "PT-D": (FIRST, 1),
+    base: (SECOND if kind == FIRST else FIRST, -sign)
+    for base, (_, kind, sign) in _POWER_BASES.items()
 }
 
 
@@ -278,6 +271,4 @@ def converse_check(y: Seq, base: str, depth: int) -> bool:
             return True  # hypothesis fails: vacuously true
     kind, sign = _CONVERSE_CLASSES[base]
     # a check shorter than the support of y would not see all of it
-    report = check_invariance(y, kind, max(depth, y.support_bound))
-    wanted = "invariant" if sign == 1 else "inverse-invariant"
-    return report.verdict == wanted
+    return in_eigenspace(y, kind, sign, max(depth, y.support_bound))

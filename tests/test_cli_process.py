@@ -99,6 +99,18 @@ def test_stdout_closed_early_ends_without_traceback(argv):
     assert 0 <= proc.returncode <= 5
 
 
+@pytest.mark.parametrize(
+    "n, code, marker",
+    [(3, 0, "class: inverse invariant of the first kind"), (400, 2, "recursion limit")],
+)
+def test_deep_pipeline_ends_in_a_documented_exit_code(n, code, marker):
+    # every t42d stage nests four lazy images, so 400 stages pass the recursion limit
+    proc = _python("-m", "pascalinv", "apply", f"psitilde({n})", "kseq", "--depth", "4")
+    assert proc.returncode == code, proc.stderr
+    assert marker in (proc.stdout if code == 0 else proc.stderr)
+    assert "Traceback" not in proc.stderr, proc.stderr
+
+
 def test_every_exported_name_resolves():
     namespace = {}
     exec("from pascalinv import *", namespace)

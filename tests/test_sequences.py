@@ -575,8 +575,11 @@ def test_negative_depth_is_an_error():
 
 @pytest.mark.parametrize(
     "seq",
-    [Lazy(lambda n: n), Lazy(rows=lambda d: list(range(d))), lucas()],
-    ids=["oracle", "rows", "expcomb"],
+    [
+        Lazy(lambda n: n), Lazy(rows=lambda d: list(range(d))), lucas(),
+        FinSupp([1, 2]), Bernoulli(), AltBernoulli(), KSeq(),
+    ],
+    ids=["oracle", "rows", "expcomb", "finsupp", "bernoulli", "altbernoulli", "kseq"],
 )
 def test_negative_index_is_an_error(seq):
     with pytest.raises(ValueError, match="n must be >= 0"):
