@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import total_ordering
-from math import comb
+from math import comb, isqrt
 from typing import Union
 
 
@@ -22,12 +22,17 @@ def binomial(i: int, j: int) -> int:
 
 
 def _is_square_free(d: int) -> bool:
+    # Trial division up to the cube root leaves a cofactor with at most two
+    # prime factors, which is square-free unless it is a prime squared.
     p = 2
-    while p * p <= d:
-        if d % (p * p) == 0:
-            return False
+    while p * p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return False
         p += 1
-    return True
+    r = isqrt(d)
+    return d == 1 or r * r != d
 
 
 @total_ordering
@@ -65,60 +70,56 @@ class QuadExt:
         return self._a
 
     def conjugate(self) -> QuadExt:
-        return QuadExt(self._a, -self._b, self._d)
+        return _quad(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - d*b^2 (the product with the conjugate)."""
         return self._a * self._a - self._d * self._b * self._b
 
-    def _coerce(self, other):
+    def _parts(self, other):
+        """``(a, b, c, e, d)``: self = a + b√d and other = c + e√d over one field.
+
+        That field is self's, unless only other is irrational.  Two irrationals
+        from distinct fields raise; a non-scalar other gives None.
+        """
         if isinstance(other, QuadExt):
-            if other._d == self._d:
-                return other
-            if other._b == 0:
-                return QuadExt(other._a, 0, self._d)
-            if self._b == 0:
-                return None  # handled by caller re-dispatch
+            if other._d == self._d or not other._b:
+                return self._a, self._b, other._a, other._b, self._d
+            if not self._b:
+                return self._a, self._b, other._a, other._b, other._d
             raise ValueError(f"cannot mix Q(√{self._d}) with Q(√{other._d})")
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self._d)
+            return self._a, self._b, other, 0, self._d  # results still mix in self's Fractions
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, QuadExt):  # self rational, adopt other's field
-                return QuadExt(self._a, 0, other._d) + other
+        p = self._parts(other)
+        if p is None:
             return NotImplemented
-        return QuadExt(self._a + o._a, self._b + o._b, self._d)
+        a, b, c, e, d = p
+        return _quad(a + c, b + e, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self._a, -self._b, self._d)
+        return _quad(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, QuadExt):
-                return QuadExt(self._a, 0, other._d) - other
+        p = self._parts(other)
+        if p is None:
             return NotImplemented
-        return QuadExt(self._a - o._a, self._b - o._b, self._d)
+        a, b, c, e, d = p
+        return _quad(a - c, b - e, d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, QuadExt):
-                return QuadExt(self._a, 0, other._d) * other
+        p = self._parts(other)
+        if p is None:
             return NotImplemented
-        return QuadExt(
-            self._a * o._a + self._d * self._b * o._b,
-            self._a * o._b + self._b * o._a,
-            self._d,
-        )
+        a, b, c, e, d = p
+        return _quad(a * c + d * b * e, a * e + b * c, d)
 
     __rmul__ = __mul__
 
@@ -126,19 +127,21 @@ class QuadExt:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return QuadExt(self._a / n, -self._b / n, self._d)
+        return _quad(self._a / n, -self._b / n, self._d)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, QuadExt):
-                return QuadExt(self._a, 0, other._d) / other
+        p = self._parts(other)
+        if p is None:
             return NotImplemented
-        return self * o.inverse()
+        a, b, c, e, d = p
+        n = c * c - d * e * e
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return _quad((a * c - d * b * e) / n, (b * c - a * e) / n, d)
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self._d) * self.inverse()
+            return self.inverse() * other
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -146,7 +149,7 @@ class QuadExt:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadExt(1, 0, self._d)
+        out = _quad(Fraction(1), Fraction(0), self._d)
         base = self
         while n:
             if n & 1:
@@ -157,13 +160,12 @@ class QuadExt:
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            if self._d == other._d:
-                return self._a == other._a and self._b == other._b
-            if self._b == 0 and other._b == 0:
-                return self._a == other._a
-            return False  # values in distinct fields never coincide off Q
+            return (  # values in distinct fields coincide only in Q
+                self._a == other._a and self._b == other._b
+                and (self._d == other._d or not self._b)
+            )
         if isinstance(other, (int, Fraction)):
-            return self._b == 0 and self._a == other
+            return not self._b and self._a == other
         return NotImplemented
 
     def __bool__(self):
@@ -176,29 +178,16 @@ class QuadExt:
         return hash((self._a, self._b, self._d))
 
     def sign(self) -> int:
-        """Exact sign of the real value a + b*sqrt(d)."""
-        a, b = self._a, self._b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        aa, dbb = a * a, self._d * b * b
-        big_is_a = aa > dbb
-        if a > 0:
-            return 1 if big_is_a else -1
-        return -1 if big_is_a else 1
+        """Exact sign of the real value a + b*sqrt(d).
+
+        t -> t|t| is increasing, so a > -b√d exactly when a|a| > -d*b|b|.
+        """
+        s = self._a * abs(self._a) + self._d * self._b * abs(self._b)
+        return (s > 0) - (s < 0)
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, QuadExt):
-                return QuadExt(self._a, 0, other._d) < other
-            return NotImplemented
-        return (self - o).sign() < 0
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.sign() < 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -208,6 +197,14 @@ class QuadExt:
 
     def __str__(self):
         return format_scalar(self)
+
+
+def _quad(a: Fraction, b: Fraction, d: int) -> QuadExt:
+    """An arithmetic result, built without the constructor's checks: ``a`` and
+    ``b`` are already Fractions and ``d`` comes from a validated operand."""
+    x = object.__new__(QuadExt)
+    x._a, x._b, x._d = a, b, d
+    return x
 
 
 Scalar = Union[int, Fraction, QuadExt]
@@ -252,11 +249,11 @@ def format_scalar(x: Scalar) -> str:
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
+# A radicand of at most 18 digits keeps the square-free test under ~10^6 steps.
+_ROOT = r"(?:√|sqrt)(?P<d>\d{1,18})"
 _RAT_ONLY = re.compile(rf"^({_RAT})$")
-_QUAD_ONLY = re.compile(rf"^(?P<sign>[+-])?(?P<coef>\d+(?:/\d+)?)?(?:√|sqrt)(?P<d>\d+)$")
-_COMBINED = re.compile(
-    rf"^(?P<rat>{_RAT})(?P<sign>[+-])(?P<coef>\d+(?:/\d+)?)?(?:√|sqrt)(?P<d>\d+)$"
-)
+_QUAD_ONLY = re.compile(rf"^(?P<sign>[+-])?(?P<coef>\d+(?:/\d+)?)?{_ROOT}$")
+_COMBINED = re.compile(rf"^(?P<rat>{_RAT})(?P<sign>[+-])(?P<coef>\d+(?:/\d+)?)?{_ROOT}$")
 
 
 def _rational(text: str, literal: str) -> Fraction:

@@ -8,6 +8,7 @@ new interpreter instead.
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -124,3 +125,19 @@ def test_every_exported_name_resolves():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         pascalinv.nonexistent
+
+
+def test_large_radicand_is_validated_once():
+    start = time.perf_counter()
+    proc = _python("-m", "pascalinv", "gen", "geom:(1,sqrt999999999999999989)", "--depth", "3")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(",")[1] == "√999999999999999989"
+    assert elapsed < 2, elapsed
+
+
+def test_radicand_longer_than_18_digits_is_a_parse_error():
+    proc = _python("-m", "pascalinv", "gen", "geom:(1,sqrt1000000000000000003)", "--depth", "3")
+    assert proc.returncode == 2, proc.stderr
+    assert "parse error" in proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pascalinv import scalars
 from pascalinv.scalars import (
     QuadExt,
+    _is_square_free,
     binomial,
     exact_div,
     format_scalar,
@@ -14,6 +17,7 @@ from pascalinv.scalars import (
     scalar_to_json,
     simplify,
 )
+from pascalinv.sequences import check_invariance, fibonacci, lucas
 
 TAU1 = QuadExt(Fraction(1, 2), Fraction(1, 2))
 TAU2 = QuadExt(Fraction(1, 2), Fraction(-1, 2))
@@ -191,3 +195,71 @@ def test_json_round_trip_quadratic():
         "d": 5,
     }
     assert scalar_from_json(enc) == TAU1
+
+
+def test_square_free_test_matches_the_definition():
+    # d is square-free when no p*p with p >= 2 divides it: sieve those multiples
+    n = 10**5
+    square_free = [True] * n
+    for p in range(2, isqrt(n - 1) + 1):
+        for m in range(0, n, p * p):
+            square_free[m] = False
+    assert [_is_square_free(d) for d in range(1, n)] == square_free[1:]
+
+
+FIELDS = (2, 3, 5, 7, 13)
+
+
+def same_field_pairs():
+    """Two elements of one Q(sqrt d), d drawn from FIELDS."""
+    def pair(d):
+        element = st.builds(lambda a, b: QuadExt(a, b, d), rationals, rationals)
+        return st.tuples(element, element)
+
+    return st.sampled_from(FIELDS).flatmap(pair)
+
+
+def reference_sign(a, b, d) -> int:
+    """Sign of a + b*sqrt(d): with a and b of opposite signs, a*a against d*b*b decides."""
+    def sgn(t):
+        return (t > 0) - (t < 0)
+
+    if sgn(a) * sgn(b) >= 0:
+        return sgn(a) or sgn(b)
+    return sgn(a) if a * a > d * b * b else sgn(b)
+
+
+@given(same_field_pairs())
+def test_field_axioms_in_other_fields(pair):
+    x, y = pair
+    d = x.d
+    assert x + (-x) == 0
+    prod = x * x.conjugate()
+    assert prod.is_rational and prod.to_fraction() == x.a**2 - d * x.b**2
+    for v in (x + y, x - y, x * y):
+        assert isinstance(v, QuadExt) and v.d == d
+    if y == 0:
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+    else:
+        assert y * y.inverse() == 1 and 1 / y == y.inverse()
+        assert (x / y) * y == x
+
+
+@given(same_field_pairs(), rationals)
+def test_sign_and_order_in_other_fields(pair, q):
+    x, y = pair
+    d = x.d
+    assert x.sign() == reference_sign(x.a, x.b, d)
+    assert (x < y) == (reference_sign(x.a - y.a, x.b - y.b, d) < 0)
+    assert (x < q) == (reference_sign(x.a - q, x.b, d) < 0)
+    assert (q < x) == (reference_sign(q - x.a, -x.b, d) < 0)
+
+
+def test_arithmetic_results_skip_the_square_free_test(monkeypatch):
+    calls = []
+    validate = scalars._is_square_free
+    monkeypatch.setattr(scalars, "_is_square_free", lambda d: calls.append(d) or validate(d))
+    lucas().prefix(64)
+    check_invariance(fibonacci(), "first", 32)
+    assert calls == []
