@@ -27,6 +27,12 @@ class Band:
     below: Optional[int]
     above: Optional[int]
 
+    def span(self, i: int, n: int) -> range:
+        """The columns j < n of row i that lie inside the band."""
+        lo = 0 if self.below is None else max(0, i - self.below)
+        hi = n if self.above is None else min(n, i + self.above + 1)
+        return range(lo, hi)
+
 
 LOWER = Band(None, 0)
 UPPER = Band(0, None)
@@ -305,12 +311,13 @@ def _block(op: TriOp, m: int, n: int) -> list:
             ends.append(n + right.band.below)
         k = min(ends)
         return _product(_block(left, m, k), _block(right, k, n), n)
-    below, above, entry = op.band.below, op.band.above, op.entry
+    span, entry = op.band.span, op.entry
     rows = []
     for i in range(m):
-        lo = 0 if below is None else min(n, max(0, i - below))
-        hi = n if above is None else max(lo, min(n, i + above + 1))
-        rows.append([0] * lo + [entry(i, j) for j in range(lo, hi)] + [0] * (n - hi))
+        cols = span(i, n)
+        row = [0] * n
+        row[cols.start:cols.stop] = [entry(i, j) for j in cols]
+        rows.append(row)
     return rows
 
 

@@ -42,6 +42,8 @@ class QuadExt:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, a, b=0, d: int = 5):
+        if d >= 10**_RADICAND_DIGITS:
+            raise ValueError(f"d must be below 10**{_RADICAND_DIGITS}, got {d}")
         if d < 2 or not _is_square_free(d):
             raise ValueError(f"d must be a square-free integer > 1, got {d}")
         self._a = Fraction(a)
@@ -250,7 +252,8 @@ def format_scalar(x: Scalar) -> str:
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 # A radicand of at most 18 digits keeps the square-free test under ~10^6 steps.
-_ROOT = r"(?:√|sqrt)(?P<d>\d{1,18})"
+_RADICAND_DIGITS = 18
+_ROOT = rf"(?:√|sqrt)(?P<d>\d{{1,{_RADICAND_DIGITS}}})"
 _RAT_ONLY = re.compile(rf"^({_RAT})$")
 _QUAD_ONLY = re.compile(rf"^(?P<sign>[+-])?(?P<coef>\d+(?:/\d+)?)?{_ROOT}$")
 _COMBINED = re.compile(rf"^(?P<rat>{_RAT})(?P<sign>[+-])(?P<coef>\d+(?:/\d+)?)?{_ROOT}$")

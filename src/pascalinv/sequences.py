@@ -33,7 +33,7 @@ from .errors import (
     PoleError,
     UnsupportedSequenceError,
 )
-from .operators import TriOp, pd, ptd
+from .operators import TriOp, make_operator, pd, ptd
 from .scalars import QuadExt, Scalar, binomial, exact_div, scalar_cmp
 
 CLASSICAL = "classical"
@@ -326,10 +326,7 @@ def newton_reconstruct(seq: Seq, depth: int) -> list:
     """Rebuild the prefix from iterated difference heads via sum_k D^k a_0 * C(n, k)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    heads = _difference_heads(prefix(seq, depth))
-    return [
-        sum(heads[k] * binomial(n, k) for k in range(n + 1)) for n in range(depth)
-    ]
+    return _row_sums(make_operator("P"), _difference_heads(prefix(seq, depth)), depth)
 
 
 def _difference_heads(row: list) -> list:
@@ -371,13 +368,8 @@ def _row_sums(op: TriOp, xs: list, depth: int) -> list:
         heads = _difference_heads(xs[:depth] + [0] * (depth - len(xs)))
         sums = [h if n % 2 == 0 else -h for n, h in enumerate(heads)]
     else:
-        below, above, entry = op.band.below, op.band.above, op.entry
-        last = len(xs) - 1
-        sums = []
-        for i in range(depth):
-            lo = 0 if below is None else max(0, i - below)
-            hi = last if above is None else min(i + above, last)
-            sums.append(sum(entry(i, k) * xs[k] for k in range(lo, hi + 1)))
+        span, entry, n = op.band.span, op.entry, len(xs)
+        sums = [sum(entry(i, k) * xs[k] for k in span(i, n)) for i in range(depth)]
     if den == 1:
         return sums
     inv = Fraction(1, den)
@@ -463,12 +455,7 @@ def _jinv_pair(c: Scalar, r: Scalar, a: Scalar, mode: str) -> tuple:
 def _image(op: TriOp, seq: Seq) -> Lazy:
     """Lazy image of seq under an operator with finite lookahead: a prefix
     reads the input prefix once and runs the kernel."""
-    above = op.band.above
-
-    def rows(depth):
-        return _row_sums(op, seq.prefix(depth + above) if depth else [], depth)
-
-    return Lazy(label=f"{op.label}·seq", rows=rows)
+    return Lazy(label=f"{op.label}·seq", rows=lambda depth: apply_finite(op, seq, depth))
 
 
 @dataclass(frozen=True)

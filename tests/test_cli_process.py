@@ -35,7 +35,7 @@ EXPORTED = (
 ).split()
 
 
-def _python(*args, env=(), stdout=subprocess.PIPE):
+def _python(*args, env=(), stdout=subprocess.PIPE, timeout=120):
     full_env = {k: v for k, v in os.environ.items() if not k.startswith("PASCALINV_")}
     full_env.update(env, PYTHONPATH=str(SRC))
     return subprocess.run(
@@ -44,7 +44,7 @@ def _python(*args, env=(), stdout=subprocess.PIPE):
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -141,3 +141,21 @@ def test_radicand_longer_than_18_digits_is_a_parse_error():
     assert proc.returncode == 2, proc.stderr
     assert "parse error" in proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_library_radicand_past_18_digits_raises_at_once():
+    code = (
+        "from pascalinv.scalars import QuadExt, scalar_from_json\n"
+        "one = {'num': '1', 'den': '1'}\n"
+        "try:\n"
+        "    scalar_from_json({'a': one, 'b': one, 'd': 10**30 + 57})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "print(QuadExt(0, 1, 999999999999999989))\n"
+    )
+    proc = _python("-c", code, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "d must be below 10**18, got 1000000000000000000000000000057",
+        "√999999999999999989",
+    ]

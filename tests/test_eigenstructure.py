@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pascalinv.eigenstructure import (
     EigenSpaceId,
@@ -30,11 +33,13 @@ from pascalinv.operators import (
     truncate,
 )
 from pascalinv.sequences import (
+    ExpComb,
     FinSupp,
     apply_finite,
     apply_upper,
     check_invariance,
     fibonacci,
+    in_eigenspace,
     lucas,
     prefix,
     seq_add,
@@ -199,6 +204,41 @@ def test_first_kind_coords_agree_with_invariance_check():
     )
     assert coords_first_kind(y, 1, 20).residual_ok
     assert check_invariance(y, "first", 20).verdict == "invariant"
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def first_kind_member(sign, coeffs):
+    """sum_j coeffs[j] * (basis vector j) of the sign's eigenspace of P D."""
+    space = EigenSpaceId("PD", sign)
+    return reduce(seq_add, [seq_scale(c, basis_vector(space, j)) for j, c in enumerate(coeffs)])
+
+
+first_kind_inputs = st.one_of(
+    st.lists(small_fractions, max_size=8).map(lambda ts: FinSupp(tuple(ts))),
+    st.lists(st.tuples(small_fractions, small_fractions), min_size=1, max_size=3).map(
+        lambda ps: ExpComb(tuple(ps))
+    ),
+    st.sampled_from((fibonacci(), lucas())),
+    st.builds(
+        first_kind_member,
+        st.sampled_from((1, -1)),
+        st.lists(small_fractions, min_size=1, max_size=6),
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(first_kind_inputs, st.sampled_from((1, -1)), st.integers(min_value=2, max_value=20))
+def test_first_kind_coords_agree_with_membership_on_every_class(x, sign, depth):
+    res = coords_first_kind(x, sign, depth)
+    assert res.residual_ok == in_eigenspace(x, "first", sign, depth)
+    if res.residual_ok:
+        space = EigenSpaceId("PD", sign)
+        columns = [prefix(basis_vector(space, j), depth) for j in range(len(res.coefficients))]
+        recon = [sum(c * col[i] for c, col in zip(res.coefficients, columns)) for i in range(depth)]
+        assert recon == prefix(x, depth)
 
 
 def test_second_kind_formal_coords():

@@ -6,6 +6,7 @@ import pytest
 
 from pascalinv.errors import InfiniteSumError
 from pascalinv.operators import (
+    Band,
     DenseMat,
     banded,
     compose,
@@ -22,6 +23,8 @@ from pascalinv.operators import (
 from pascalinv.scalars import QuadExt, binomial, scalar_from_json
 
 ROOT5 = QuadExt(0, 1, 5)
+
+BOUNDS = (None, 0, 1, 2)
 
 # down-shifted transposed Pascal matrix as displayed, rows 0..7
 PT_DOWN_8 = [
@@ -263,3 +266,16 @@ def test_dense_mat_validation():
         DenseMat.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):
         DenseMat.identity(3) @ DenseMat.from_rows([[1, 2]])
+
+
+@pytest.mark.parametrize("below", BOUNDS)
+@pytest.mark.parametrize("above", BOUNDS)
+def test_band_span_is_the_in_band_columns(below, above):
+    band = Band(below, above)
+    for i in range(12):
+        for n in range(13):
+            inside = [
+                j for j in range(n)
+                if (below is None or i - j <= below) and (above is None or j - i <= above)
+            ]
+            assert list(band.span(i, n)) == inside

@@ -234,6 +234,36 @@ def test_newton_reconstruct():
         newton_reconstruct(lucas(), 0)
 
 
+def _newton_by_definition(seq, depth):
+    """sum_k C(n, k) * Δ^k a_0, with the difference heads taken row by row."""
+    heads, row = [], prefix(seq, depth)
+    while row:
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return [sum(heads[k] * binomial(n, k) for k in range(n + 1)) for n in range(depth)]
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        FinSupp((3, -1, 4, 1, -5)),
+        geometric(2, -3),
+        FinSupp((Fraction(2), Fraction(-4), Fraction(7))),
+        Bernoulli(),
+        geometric(Fraction(1, 2), Fraction(-2, 3)),
+        lucas(),
+        fibonacci(),
+        geometric(QuadExt(1, 1, 5), TAU2),
+    ],
+    ids=["int", "int geometric", "integer Fraction", "Bernoulli", "Fraction geometric",
+         "Lucas", "Fibonacci", "Q(sqrt5) geometric"],
+)
+def test_newton_reconstruct_matches_the_binomial_sum(seq):
+    for depth in (1, 2, 7, 16):
+        assert newton_reconstruct(seq, depth) == _newton_by_definition(seq, depth)
+        assert newton_reconstruct(seq, depth) == prefix(seq, depth)
+
+
 def test_check_invariance_verdicts():
     assert check_invariance(lucas(), "first", 64).verdict == "invariant"
     assert check_invariance(AltBernoulli(), "first", 32).verdict == "invariant"

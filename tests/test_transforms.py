@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pascalinv.eigenstructure import EigenSpaceId, basis_vector, qtdown00
 from pascalinv.errors import DivergentSumError, PoleError, UnsupportedPairError
@@ -14,8 +17,11 @@ from pascalinv.sequences import (
     check_invariance,
     fibonacci,
     geometric,
+    in_eigenspace,
     lucas,
     prefix,
+    seq_add,
+    seq_scale,
     shift_down,
     unit,
 )
@@ -296,3 +302,16 @@ def test_converse_check_matches_column_by_column_dots():
             continue
         for base in _CONVERSE_CLASSES:
             assert converse_check(y, base, 12) == reference(y, base, 12)
+
+
+@settings(max_examples=80)
+@given(
+    st.sampled_from(sorted(TRANSFORM_STAGES)),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=6),
+)
+def test_t42_stages_land_in_the_class_they_claim(name, coeffs):
+    stage = TRANSFORM_STAGES[name]
+    kind, sign = stage.domain
+    space = EigenSpaceId("PD" if kind == "first" else "PTD", sign)
+    x = reduce(seq_add, [seq_scale(c, basis_vector(space, j)) for j, c in enumerate(coeffs)])
+    assert in_eigenspace(stage.run(x, "continued"), *stage.out_class(stage.domain), 24)
