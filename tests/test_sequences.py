@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -378,11 +377,12 @@ def test_expcomb_prefix_steps_to_the_same_terms(seq):
     assert [type(v) for v in got] == [type(v) for v in want]
 
 
-@dataclass(frozen=True, eq=False)
 class CountingLazy(Lazy):
     """Lazy oracle that records how often each index is requested."""
 
-    calls: Counter = field(default_factory=Counter, repr=False)
+    def __init__(self, oracle):
+        super().__init__(oracle)
+        object.__setattr__(self, "calls", Counter())
 
     def term(self, n):
         self.calls[n] += 1
