@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import eigenstructure as eig
 from . import transforms as tr
+from .errors import Record
 from .operators import compose, make_operator, op_power, pd, ptd, truncate, DenseMat
 from .sequences import (
     CONTINUED,
@@ -31,20 +31,20 @@ from .sequences import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    depth: int = 32
-    mode: str = CONTINUED
-    seed: int = 0
+class RunConfig(Record):
+    _fields = ("depth", "mode", "seed")
+
+    def __init__(self, depth: int = 32, mode: str = CONTINUED, seed: int = 0):
+        vars(self).update(depth=depth, mode=mode, seed=seed)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    depth: int
-    elapsed_ms: float
-    detail: str = ""
+class CheckResult(Record):
+    _fields = ("name", "passed", "depth", "elapsed_ms", "detail")
+
+    def __init__(self, name: str, passed: bool, depth: int, elapsed_ms: float, detail: str = ""):
+        vars(self).update(
+            name=name, passed=passed, depth=depth, elapsed_ms=elapsed_ms, detail=detail
+        )
 
 
 _SPACES = [eig.EigenSpaceId(op, ev) for op in ("PD", "PTD") for ev in (1, -1)]

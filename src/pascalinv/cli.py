@@ -13,9 +13,11 @@ code  meaning
 1     ``verify``: a check failed; ``oeis``: the lookup failed
       (network error, or an ``--offline`` cache miss); any
       command: stdout was closed before all output was written
-2     parse or usage error, a depth below 2, a non-integer
-      prefix given to ``oeis``, or an ``apply`` pipeline nested
-      too deeply to evaluate (Python's recursion limit)
+2     parse or usage error, a depth below 2, a ``--depth``,
+      ``--rows`` or ``--cols`` above ``sys.maxsize``, a
+      non-integer prefix given to ``oeis``, or an ``apply``
+      pipeline nested too deeply to evaluate (Python's
+      recursion limit)
 3     ``check``: inverse invariant
 4     ``check``: neither
 5     summation error
@@ -378,6 +380,11 @@ def main(argv=None) -> int:
     if "depth" in args and args.depth < 2:
         print("depth must be >= 2", file=sys.stderr)
         return EXIT_PARSE
+    # a larger size cannot index a list; smaller ones run, however long they take
+    for size in ("depth", "rows", "cols"):
+        if getattr(args, size, 0) > sys.maxsize:
+            print(f"--{size} must be <= {sys.maxsize}", file=sys.stderr)
+            return EXIT_PARSE
     try:
         code = args.func(args)
         sys.stdout.flush()

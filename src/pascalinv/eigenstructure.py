@@ -8,10 +8,10 @@ P D and P^T D), and expansion in those bases is a triangular solve.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import comb
 
+from .errors import Record
 from .operators import (
     LOWER,
     UPPER,
@@ -155,18 +155,17 @@ BASIS_MATRICES = {
 }
 
 
-@dataclass(frozen=True)
-class EigenSpaceId:
+class EigenSpaceId(Record):
     """One of the four eigenspaces: operator 'PD' or 'PTD', eigenvalue +1 or -1."""
 
-    operator: str
-    eigenvalue: int
+    _fields = ("operator", "eigenvalue")
 
-    def __post_init__(self):
-        if self.operator not in ("PD", "PTD"):
-            raise ValueError(f"operator must be 'PD' or 'PTD', got {self.operator!r}")
-        if self.eigenvalue not in (1, -1):
+    def __init__(self, operator: str, eigenvalue: int):
+        if operator not in ("PD", "PTD"):
+            raise ValueError(f"operator must be 'PD' or 'PTD', got {operator!r}")
+        if eigenvalue not in (1, -1):
             raise ValueError("eigenvalue must be +1 or -1")
+        vars(self).update(operator=operator, eigenvalue=eigenvalue)
 
     @property
     def kind(self) -> str:
@@ -200,13 +199,15 @@ def basis_vector(space: EigenSpaceId, j: int) -> Seq:
     )
 
 
-@dataclass(frozen=True)
-class CoordResult:
+class CoordResult(Record):
     """Expansion data from a staggered-basis solve."""
 
-    coefficients: list
-    residual_ok: bool
-    pivot_rows: list
+    _fields = ("coefficients", "residual_ok", "pivot_rows")
+
+    def __init__(self, coefficients: list, residual_ok: bool, pivot_rows: list):
+        vars(self).update(
+            coefficients=coefficients, residual_ok=residual_ok, pivot_rows=pivot_rows
+        )
 
 
 def coords_first_kind(x: Seq, sign: int, depth: int) -> CoordResult:

@@ -1,4 +1,37 @@
-"""Exceptions shared across the operator and sequence layers."""
+"""Exceptions and the immutable value base shared across the layers."""
+
+
+class Record:
+    """Base of the immutable value classes.
+
+    ``==`` and ``hash`` compare the ``_fields`` tuple between instances of
+    the same class only, ``repr`` lists those fields, and assignment or
+    deletion of any attribute raises ``AttributeError``.  Each subclass
+    stores its attributes in ``__init__`` through ``vars(self)``.
+    """
+
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class PascalinvError(Exception):

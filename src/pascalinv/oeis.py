@@ -3,18 +3,19 @@
 The client is an optional convenience: nothing else in the library imports
 it, and every other feature works with networking disabled.  Raw responses
 are cached byte for byte, keyed by the normalised integer prefix; a fixture
-directory can serve pre-recorded responses read-only.
+directory can serve pre-recorded responses read-only.  A file is named after
+its key, or after the key's SHA-256 digest when the key is too long for a file
+name.
 """
 from __future__ import annotations
 
 import json
 import os
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import PascalinvError
+from .errors import PascalinvError, Record
 from .scalars import QuadExt
 from .sequences import Seq, prefix
 
@@ -23,6 +24,8 @@ CACHE_ENV = "PASCALINV_OEIS_CACHE"
 FIXTURE_ENV = "PASCALINV_OEIS_FIXTURES"
 _RETRIES = 3
 _BACKOFF_S = 0.5
+# the longest file name most file systems take, in bytes
+_NAME_MAX = 255
 
 
 class NonIntegerSequenceError(PascalinvError):
@@ -37,11 +40,12 @@ class CacheMissError(PascalinvError):
     """Offline lookup found nothing in the cache or fixtures."""
 
 
-@dataclass(frozen=True)
-class LookupResult:
-    query_prefix: list
-    matches: list
-    source: str  # "network", "cache" or "fixture"
+class LookupResult(Record):
+    _fields = ("query_prefix", "matches", "source")
+
+    def __init__(self, query_prefix: list, matches: list, source: str):
+        # source is "network", "cache" or "fixture"
+        vars(self).update(query_prefix=query_prefix, matches=matches, source=source)
 
 
 def _as_int(value) -> int:
@@ -74,6 +78,17 @@ def _cache_dir(explicit) -> Path:
 
 def _key(terms) -> str:
     return ",".join(str(t) for t in terms)
+
+
+def _stem(key: str) -> str:
+    """The file name stem of a key: the key itself while ``key.json`` fits in
+    one path component, its SHA-256 hex digest past that."""
+    if len(key) + len(".json") <= _NAME_MAX:
+        return key
+    # imported here: hashlib loads OpenSSL, which no short key needs
+    import hashlib
+
+    return hashlib.sha256(key.encode()).hexdigest()
 
 
 def _parse_matches(raw: bytes) -> list:
@@ -122,14 +137,15 @@ def lookup(
     """
     terms = integer_prefix(seq, depth)
     key = _key(terms)
+    stem = _stem(key)
     cdir = _cache_dir(cache_dir)
-    raw_path = cdir / f"{key}.raw"
+    raw_path = cdir / f"{stem}.raw"
     if raw_path.exists():
         return LookupResult(terms, _parse_matches(raw_path.read_bytes()), "cache")
 
     fdir = fixture_dir if fixture_dir is not None else os.environ.get(FIXTURE_ENV)
     if fdir is not None:
-        fix_path = Path(fdir) / f"{key}.raw"
+        fix_path = Path(fdir) / f"{stem}.raw"
         if fix_path.exists():
             return LookupResult(terms, _parse_matches(fix_path.read_bytes()), "fixture")
 
@@ -140,7 +156,7 @@ def lookup(
     matches = _parse_matches(raw)  # parse before caching: reject garbage early
     cdir.mkdir(parents=True, exist_ok=True)
     raw_path.write_bytes(raw)
-    (cdir / f"{key}.json").write_text(
+    (cdir / f"{stem}.json").write_text(
         json.dumps({"prefix": terms, "matches": matches}, indent=2)
     )
     return LookupResult(terms, matches, "network")

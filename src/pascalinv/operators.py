@@ -9,23 +9,23 @@ multiplying finite blocks of the factors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable, Optional
 
-from .errors import InfiniteSumError
+from .errors import InfiniteSumError, Record
 from .scalars import Scalar, binomial, exact_div, format_scalar, scalar_to_json
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(Record):
     """Support bound: entry(i, j) may be nonzero only if -below <= j - i <= above.
 
     ``None`` means unbounded on that side.
     """
 
-    below: Optional[int]
-    above: Optional[int]
+    _fields = ("below", "above")
+
+    def __init__(self, below: Optional[int], above: Optional[int]):
+        vars(self).update(below=below, above=above)
 
     def span(self, i: int, n: int) -> range:
         """The columns j < n of row i that lie inside the band."""
@@ -54,14 +54,19 @@ def _bound_max(x: Optional[int], y: Optional[int]) -> Optional[int]:
     return max(x, y)
 
 
-@dataclass(frozen=True)
-class TriOp:
-    """Immutable lazily evaluated infinite matrix."""
+class TriOp(Record):
+    """Immutable lazily evaluated infinite matrix; ``entry`` takes no part in ``==``."""
 
-    band: Band
-    entry: Callable[[int, int], Scalar] = field(compare=False)
-    label: str
-    tag: Optional[tuple] = None
+    _fields = ("band", "label", "tag")
+
+    def __init__(
+        self,
+        band: Band,
+        entry: Callable[[int, int], Scalar],
+        label: str,
+        tag: Optional[tuple] = None,
+    ):
+        vars(self).update(band=band, entry=entry, label=label, tag=tag)
 
     @property
     def shape(self) -> str:
@@ -233,16 +238,16 @@ def op_power(op: TriOp, n: int) -> TriOp:
     out = reduce(compose, [op] * n)
     if n == 1:
         return out
-    return replace(out, label=f"({op.label})^{n}")
+    return TriOp(out.band, out.entry, f"({op.label})^{n}", out.tag)
 
 
-@dataclass(frozen=True)
-class DenseMat:
+class DenseMat(Record):
     """Finite exact matrix, the result of truncating a lazy operator."""
 
-    rows: int
-    cols: int
-    data: tuple
+    _fields = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, cols: int, data: tuple):
+        vars(self).update(rows=rows, cols=cols, data=data)
 
     @classmethod
     def from_rows(cls, rows) -> DenseMat:

@@ -20,7 +20,6 @@ the disc of convergence in ``classical`` mode.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
@@ -31,6 +30,7 @@ from .errors import (
     DivergentSumError,
     InfiniteSumError,
     PoleError,
+    Record,
     UnsupportedSequenceError,
 )
 from .operators import TriOp, make_operator, pd, ptd
@@ -100,15 +100,14 @@ class Seq:
         return [self.term(n) for n in range(depth)]
 
 
-@dataclass(frozen=True)
-class FinSupp(Seq):
-    terms: tuple = ()
+class FinSupp(Seq, Record):
+    _fields = ("terms",)
 
-    def __post_init__(self):
-        ts = tuple(self.terms)
+    def __init__(self, terms=()):
+        ts = tuple(terms)
         while ts and ts[-1] == 0:
             ts = ts[:-1]
-        object.__setattr__(self, "terms", ts)
+        vars(self).update(terms=ts)
 
     def term(self, n):
         if n < 0:
@@ -126,19 +125,18 @@ def unit(j: int) -> FinSupp:
     return FinSupp((0,) * j + (1,))
 
 
-@dataclass(frozen=True)
-class ExpComb(Seq):
+class ExpComb(Seq, Record):
     """sum_j c_j * r_j**n with pairwise distinct ratios (0**0 = 1)."""
 
-    pairs: tuple = ()
+    _fields = ("pairs",)
 
-    def __post_init__(self):
+    def __init__(self, pairs=()):
         merged: dict = {}
-        for c, r in self.pairs:
+        for c, r in pairs:
             merged[r] = merged.get(r, 0) + c
         cleaned = [(c, r) for r, c in merged.items() if c != 0]
         cleaned.sort(key=cmp_to_key(lambda p, q: scalar_cmp(p[1], q[1])))
-        object.__setattr__(self, "pairs", tuple(cleaned))
+        vars(self).update(pairs=tuple(cleaned))
 
     def term(self, n):
         if n < 0:
@@ -173,26 +171,22 @@ def lucas() -> ExpComb:
     return ExpComb(((Fraction(1), TAU1), (Fraction(1), TAU2)))
 
 
-@dataclass(frozen=True)
-class Bernoulli(Seq):
+class Bernoulli(Seq, Record):
     def term(self, n):
         return bernoulli_number(n)
 
 
-@dataclass(frozen=True)
-class AltBernoulli(Seq):
+class AltBernoulli(Seq, Record):
     def term(self, n):
         return (-1) ** n * bernoulli_number(n)
 
 
-@dataclass(frozen=True)
-class KSeq(Seq):
+class KSeq(Seq, Record):
     def term(self, n):
         return k_number(n)
 
 
-@dataclass(frozen=True, eq=False)
-class Lazy(Seq):
+class Lazy(Seq, Record):
     """An exact sequence given by a term oracle or by a prefix rule.
 
     Give exactly one of ``oracle(n)``, one term, or ``rows(depth)``, the list
@@ -202,14 +196,19 @@ class Lazy(Seq):
     prefix calls the oracle again, while a prefix computes each term once.
     """
 
-    oracle: Optional[Callable[[int], Scalar]] = field(default=None, repr=False)
-    label: str = "lazy"
-    rows: Optional[Callable[[int], list]] = field(default=None, repr=False)
+    _fields = ("label",)  # shown by repr; equality is identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if (self.oracle is None) == (self.rows is None):
+    def __init__(
+        self,
+        oracle: Optional[Callable[[int], Scalar]] = None,
+        label: str = "lazy",
+        rows: Optional[Callable[[int], list]] = None,
+    ):
+        if (oracle is None) == (rows is None):
             raise ValueError("Lazy needs exactly one of oracle and rows")
-        object.__setattr__(self, "_head", [])
+        vars(self).update(oracle=oracle, label=label, rows=rows, _head=[])
 
     def term(self, n):
         if n < 0:
@@ -458,15 +457,17 @@ def _image(op: TriOp, seq: Seq) -> Lazy:
     return Lazy(label=f"{op.label}·seq", rows=lambda depth: apply_finite(op, seq, depth))
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(Record):
     """Outcome of an invariance check at finite depth."""
 
-    kind: str
-    verdict: str
-    depth: int
-    mode: str
-    first_failure: Optional[int] = None
+    _fields = ("kind", "verdict", "depth", "mode", "first_failure")
+
+    def __init__(
+        self, kind: str, verdict: str, depth: int, mode: str, first_failure: Optional[int] = None
+    ):
+        vars(self).update(
+            kind=kind, verdict=verdict, depth=depth, mode=mode, first_failure=first_failure
+        )
 
 
 _SECOND_KIND_MODE = {CONTINUED: "closed-form", CLASSICAL: "classical-partial-sum"}

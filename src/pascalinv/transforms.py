@@ -8,11 +8,10 @@ result provably is.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import UnsupportedPairError
+from .errors import Record, UnsupportedPairError
 from .operators import lin_comb, make_operator, op_power, transpose
 from .scalars import Scalar, exact_div
 from .sequences import (
@@ -80,8 +79,7 @@ def t42d(x: Seq) -> Seq:
     return seq_add(seq_scale(2, shift_down(x)), seq_scale(-1, x))
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(Record):
     """One pipeline step with its class bookkeeping.
 
     ``sets`` gives the output class regardless of input (projection stages);
@@ -89,10 +87,16 @@ class Stage:
     same kind with the opposite sign.
     """
 
-    name: str
-    run: Callable[[Seq, str], Seq]
-    sets: Optional[tuple] = None
-    domain: Optional[tuple] = None
+    _fields = ("name", "run", "sets", "domain")
+
+    def __init__(
+        self,
+        name: str,
+        run: Callable[[Seq, str], Seq],
+        sets: Optional[tuple] = None,
+        domain: Optional[tuple] = None,
+    ):
+        vars(self).update(name=name, run=run, sets=sets, domain=domain)
 
     def out_class(self, cls: Optional[tuple]) -> Optional[tuple]:
         if self.sets is not None:
@@ -102,9 +106,11 @@ class Stage:
         return None
 
 
-@dataclass(frozen=True)
-class Pipeline:
-    steps: tuple
+class Pipeline(Record):
+    _fields = ("steps",)
+
+    def __init__(self, steps: tuple):
+        vars(self).update(steps=steps)
 
     def apply(self, seq: Seq, mode: str = CONTINUED) -> Seq:
         require_mode(mode)

@@ -6,6 +6,7 @@ subcommand that uses a module it never imports.  Each command here runs in a
 new interpreter instead.
 """
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -35,7 +36,7 @@ EXPORTED = (
 ).split()
 
 
-def _python(*args, env=(), stdout=subprocess.PIPE, timeout=120):
+def _python(*args, env=(), stdout=subprocess.PIPE, timeout=120, preexec_fn=None):
     full_env = {k: v for k, v in os.environ.items() if not k.startswith("PASCALINV_")}
     full_env.update(env, PYTHONPATH=str(SRC))
     return subprocess.run(
@@ -45,6 +46,7 @@ def _python(*args, env=(), stdout=subprocess.PIPE, timeout=120):
         stderr=subprocess.PIPE,
         text=True,
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -159,3 +161,49 @@ def test_library_radicand_past_18_digits_raises_at_once():
         "d must be below 10**18, got 1000000000000000000000000000057",
         "√999999999999999989",
     ]
+
+
+def test_library_imports_leave_out_dataclasses_and_inspect():
+    # compared with a bare interpreter, so modules that site loads itself do not count
+    show = "import sys; print(' '.join(sorted(sys.modules)))"
+    bare = _python("-c", show)
+    full = _python(
+        "-c", "import pascalinv.cli, pascalinv.checks, pascalinv.oeis, pascalinv.transforms; " + show
+    )
+    assert bare.returncode == 0 and full.returncode == 0, bare.stderr + full.stderr
+    added = set(full.stdout.split()) - set(bare.stdout.split())
+    assert "pascalinv.checks" in added
+    assert not {"dataclasses", "inspect"} & added, sorted(added)
+
+
+TOO_BIG = str(sys.maxsize + 1)
+
+
+def _cap_memory():
+    # without the size check, matrix would fill memory one row at a time
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, code, marker",
+    [
+        (("oeis", "lucas", "--offline", "--depth", "100"), 1,
+         "error: no cached response for prefix 2,1,3,4,"),
+        (("gen", "geom:(1,2)", "--depth", TOO_BIG), 2, "--depth must be <= "),
+        (("check", "lucas", "--kind", "first", "--depth", TOO_BIG), 2, "--depth must be <= "),
+        (("apply", "t42a", "lucas", "--depth", TOO_BIG), 2, "--depth must be <= "),
+        (("verify", "all", "--depth", TOO_BIG), 2, "--depth must be <= "),
+        (("matrix", "P", "--rows", TOO_BIG), 2, "--rows must be <= "),
+        (("matrix", "P", "--cols", TOO_BIG), 2, "--cols must be <= "),
+    ],
+    ids=["oeis-long-prefix", "gen", "check", "apply", "verify", "matrix-rows", "matrix-cols"],
+)
+def test_oversized_request_ends_in_one_error_line(tmp_path, argv, code, marker):
+    proc = _python(
+        "-m", "pascalinv", *argv,
+        env={"PASCALINV_OEIS_CACHE": str(tmp_path)}, timeout=30, preexec_fn=_cap_memory,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith(marker), proc.stderr

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -63,6 +64,22 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     assert second.source == "cache"
     assert second.matches == first.matches
     assert len(calls) == 1  # no second network hit
+
+
+def test_long_key_is_cached_under_its_digest(tmp_path, monkeypatch):
+    canned = json.dumps({"count": 1, "results": [{"number": 32, "name": "Lucas"}]}).encode()
+    calls = []
+    monkeypatch.setattr(oeis, "_fetch", lambda query: calls.append(query) or canned)
+    first = oeis.lookup(lucas(), 100, cache_dir=tmp_path, fixture_dir=None)
+    key = ",".join(str(t) for t in first.query_prefix)
+    assert len(key) > 255 and calls == [key]
+    digest = hashlib.sha256(key.encode()).hexdigest()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{digest}.json", f"{digest}.raw"]
+    assert (tmp_path / f"{digest}.raw").read_bytes() == canned
+
+    second = oeis.lookup(lucas(), 100, cache_dir=tmp_path, fixture_dir=None)
+    assert (second.source, second.matches) == ("cache", [("A000032", "Lucas")])
+    assert len(calls) == 1
 
 
 def test_network_failure_wrapped(tmp_path, monkeypatch):
