@@ -42,9 +42,8 @@ class CheckResult(Record):
     _fields = ("name", "passed", "depth", "elapsed_ms", "detail")
 
     def __init__(self, name: str, passed: bool, depth: int, elapsed_ms: float, detail: str = ""):
-        vars(self).update(
-            name=name, passed=passed, depth=depth, elapsed_ms=elapsed_ms, detail=detail
-        )
+        vars(self).update(name=name, passed=passed, depth=depth, elapsed_ms=elapsed_ms,
+                          detail=detail)
 
 
 _SPACES = [eig.EigenSpaceId(op, ev) for op in ("PD", "PTD") for ev in (1, -1)]

@@ -205,9 +205,8 @@ class CoordResult(Record):
     _fields = ("coefficients", "residual_ok", "pivot_rows")
 
     def __init__(self, coefficients: list, residual_ok: bool, pivot_rows: list):
-        vars(self).update(
-            coefficients=coefficients, residual_ok=residual_ok, pivot_rows=pivot_rows
-        )
+        vars(self).update(coefficients=coefficients, residual_ok=residual_ok,
+                          pivot_rows=pivot_rows)
 
 
 def coords_first_kind(x: Seq, sign: int, depth: int) -> CoordResult:

@@ -59,13 +59,8 @@ class TriOp(Record):
 
     _fields = ("band", "label", "tag")
 
-    def __init__(
-        self,
-        band: Band,
-        entry: Callable[[int, int], Scalar],
-        label: str,
-        tag: Optional[tuple] = None,
-    ):
+    def __init__(self, band: Band, entry: Callable[[int, int], Scalar], label: str,
+                 tag: Optional[tuple] = None):
         vars(self).update(band=band, entry=entry, label=label, tag=tag)
 
     @property

@@ -200,12 +200,8 @@ class Lazy(Seq, Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self,
-        oracle: Optional[Callable[[int], Scalar]] = None,
-        label: str = "lazy",
-        rows: Optional[Callable[[int], list]] = None,
-    ):
+    def __init__(self, oracle: Optional[Callable[[int], Scalar]] = None, label: str = "lazy",
+                 rows: Optional[Callable[[int], list]] = None):
         if (oracle is None) == (rows is None):
             raise ValueError("Lazy needs exactly one of oracle and rows")
         vars(self).update(oracle=oracle, label=label, rows=rows, _head=[])
@@ -462,12 +458,10 @@ class InvarianceReport(Record):
 
     _fields = ("kind", "verdict", "depth", "mode", "first_failure")
 
-    def __init__(
-        self, kind: str, verdict: str, depth: int, mode: str, first_failure: Optional[int] = None
-    ):
-        vars(self).update(
-            kind=kind, verdict=verdict, depth=depth, mode=mode, first_failure=first_failure
-        )
+    def __init__(self, kind: str, verdict: str, depth: int, mode: str,
+                 first_failure: Optional[int] = None):
+        vars(self).update(kind=kind, verdict=verdict, depth=depth, mode=mode,
+                          first_failure=first_failure)
 
 
 _SECOND_KIND_MODE = {CONTINUED: "closed-form", CLASSICAL: "classical-partial-sum"}

@@ -89,13 +89,8 @@ class Stage(Record):
 
     _fields = ("name", "run", "sets", "domain")
 
-    def __init__(
-        self,
-        name: str,
-        run: Callable[[Seq, str], Seq],
-        sets: Optional[tuple] = None,
-        domain: Optional[tuple] = None,
-    ):
+    def __init__(self, name: str, run: Callable[[Seq, str], Seq],
+                 sets: Optional[tuple] = None, domain: Optional[tuple] = None):
         vars(self).update(name=name, run=run, sets=sets, domain=domain)
 
     def out_class(self, cls: Optional[tuple]) -> Optional[tuple]:
