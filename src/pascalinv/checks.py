@@ -2,13 +2,16 @@
 
 Every check is exact: it either reproduces an identity entry for entry or
 fails.  Randomised checks draw from a seeded generator so runs are
-reproducible.
+reproducible.  A check is a generator that yields one truth value per case
+(one identity, one random draw or one membership test); ``run_suite`` stops
+at the first false case and names its index in ``CheckResult.detail``.
 """
 from __future__ import annotations
 
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 from . import eigenstructure as eig
 from . import transforms as tr
@@ -57,95 +60,73 @@ def _random_finsupp(rng: random.Random, max_len: int = 8) -> FinSupp:
 
 def check_pd_involution(cfg: RunConfig):
     s = cfg.depth
-    ok = truncate(op_power(pd(), 2), s, s) == DenseMat.identity(s)
-    return "pd-involution", ok
+    yield truncate(op_power(pd(), 2), s, s) == DenseMat.identity(s)
+
+
+def _mutual_inverses(a, b, s: int):
+    ident = DenseMat.identity(s)
+    for left, right in ((a, b), (b, a)):
+        yield truncate(compose(left, right), s, s) == ident
 
 
 def check_pascal_inverse(cfg: RunConfig):
-    s = cfg.depth
     p = make_operator("P")
     d = make_operator("D")
-    dpd = compose(d, compose(p, d))
-    ok = truncate(compose(dpd, p), s, s) == DenseMat.identity(s)
-    ok = ok and truncate(compose(p, dpd), s, s) == DenseMat.identity(s)
-    return "pascal-inverse", ok
+    yield from _mutual_inverses(compose(d, compose(p, d)), p, cfg.depth)
 
 
 def check_ptd_involution(cfg: RunConfig):
     rng = random.Random(cfg.seed)
     op = ptd()
-    ok = True
     for _ in range(20):
         x = _random_finsupp(rng)
-        twice = apply_upper(op, apply_upper(op, x))
-        if twice != x:
-            ok = False
-            break
-    return "ptd-involution", ok
+        yield apply_upper(op, apply_upper(op, x)) == x
 
 
 def check_binomial_involution(cfg: RunConfig):
     rng = random.Random(cfg.seed + 1)
     op = pd()
-    ok = True
     for _ in range(20):
         x = _random_finsupp(rng)
         once = FinSupp(apply_finite(op, x, cfg.depth))
-        twice = apply_finite(op, once, cfg.depth)
-        if twice != prefix(x, cfg.depth):
-            ok = False
-            break
-    return "binomial-involution", ok
+        yield apply_finite(op, once, cfg.depth) == prefix(x, cfg.depth)
 
 
 def check_nm_identity(cfg: RunConfig):
-    s = cfg.depth
-    n_op, m_op = eig.make_N(), eig.make_M()
-    ident = DenseMat.identity(s)
-    ok = truncate(compose(n_op, m_op), s, s) == ident
-    ok = ok and truncate(compose(m_op, n_op), s, s) == ident
-    return "NM-identity", ok
+    yield from _mutual_inverses(eig.make_N(), eig.make_M(), cfg.depth)
 
 
 def check_block_diag(cfg: RunConfig):
     # every smaller block sum is the top-left corner of the largest one
     m = min(8, cfg.depth // 2)
-    ok = m < 1 or eig.verify_block_diag(m)
-    return "block-diag", ok
+    if m >= 1:
+        yield eig.verify_block_diag(m)
 
 
 def check_stabilization(cfg: RunConfig):
     # H(k) and U(k) are the identity below index 2k-1, so every smaller chain
     # is the top-left corner of the chain at the largest m
     m = min(6, cfg.depth // 2)
+    if m < 1:
+        return
     s = 2 * m
-    ok = m < 1 or (
-        truncate(eig.factor_chain("H", m), s, s) == truncate(eig.make_N(), s, s)
-        and truncate(eig.factor_chain("U", m), s, s) == truncate(eig.make_M(), s, s)
-    )
-    return "stabilization", ok
+    for kind, closed in (("H", eig.make_N), ("U", eig.make_M)):
+        yield truncate(eig.factor_chain(kind, m), s, s) == truncate(closed(), s, s)
 
 
 def check_basis_eigen(cfg: RunConfig):
-    ok = True
-    for space in _SPACES:
-        for j in range(9):
-            vec = eig.basis_vector(space, j)
-            if not in_eigenspace(vec, space.kind, space.eigenvalue, cfg.depth):
-                ok = False
-    return "basis-eigen", ok
+    for space, j in product(_SPACES, range(9)):
+        vec = eig.basis_vector(space, j)
+        yield in_eigenspace(vec, space.kind, space.eigenvalue, cfg.depth)
 
 
 def check_basis_matrix_agreement(cfg: RunConfig):
-    ok = True
     for space in _SPACES:
         mat = eig.BASIS_MATRICES[space.kind, space.eigenvalue]()
         for j in range(9):
             vec = eig.basis_vector(space, j)
             col = [mat.entry(i, j) for i in range(cfg.depth)]
-            if prefix(vec, cfg.depth) != col:
-                ok = False
-    return "basis-matrix-agreement", ok
+            yield prefix(vec, cfg.depth) == col
 
 
 _TABLE1_B = [
@@ -166,92 +147,78 @@ _TABLE1_K = [
 
 
 def check_table1(cfg: RunConfig):
-    ok = prefix(Bernoulli(), 13) == _TABLE1_B
-    ok = ok and prefix(AltBernoulli(), 13) == _TABLE1_DB
-    ok = ok and prefix(KSeq(), 13) == _TABLE1_K
-    return "table1", ok
+    for seq, row in ((Bernoulli, _TABLE1_B), (AltBernoulli, _TABLE1_DB), (KSeq, _TABLE1_K)):
+        yield prefix(seq(), 13) == row
 
 
 def check_transform_orbit(cfg: RunConfig):
     dep = cfg.depth
     fib, luc = fibonacci(), lucas()
     j0f, j0l = shift_down(fib), shift_down(luc)
-    ok = prefix(tr.t42c(luc), dep) == prefix(fib, dep)
-    ok = ok and prefix(tr.t42d(fib), dep) == prefix(luc, dep)
-    ok = ok and prefix(tr.t42a(j0f), dep) == prefix(j0l, dep)
-    ok = ok and prefix(tr.t42b(j0l, cfg.mode), dep) == prefix(j0f, dep)
-    ok = ok and prefix(tr.t42c(AltBernoulli()), dep) == prefix(KSeq(), dep)
-    ok = ok and prefix(tr.t42d(KSeq()), dep) == prefix(AltBernoulli(), dep)
-    return "transform-orbit", ok
+    yield prefix(tr.t42c(luc), dep) == prefix(fib, dep)
+    yield prefix(tr.t42d(fib), dep) == prefix(luc, dep)
+    yield prefix(tr.t42a(j0f), dep) == prefix(j0l, dep)
+    yield prefix(tr.t42b(j0l, cfg.mode), dep) == prefix(j0f, dep)
+    yield prefix(tr.t42c(AltBernoulli()), dep) == prefix(KSeq(), dep)
+    yield prefix(tr.t42d(KSeq()), dep) == prefix(AltBernoulli(), dep)
 
 
 def check_power_columns(cfg: RunConfig):
-    ok = True
     for base in ("P+D", "P-D", "PT+D", "PT-D"):
         kind, sign = tr.power_column_class(base)
-        for n in (1, 2):
-            for j in range(5):
-                col = tr.power_column(base, n, j)
-                if not in_eigenspace(col, kind, sign, cfg.depth, cfg.mode):
-                    ok = False
-    return "power-columns", ok
+        for n, j in product((1, 2), range(5)):
+            col = tr.power_column(base, n, j)
+            yield in_eigenspace(col, kind, sign, cfg.depth, cfg.mode)
 
 
 def check_orthogonality(cfg: RunConfig):
+    # each first-kind space against the second-kind space of the other sign
     rng = random.Random(cfg.seed + 2)
-    ok = True
     for _ in range(10):
         j, jj = rng.randint(0, 6), rng.randint(0, 6)
-        x = eig.basis_vector(eig.EigenSpaceId("PD", 1), j)
-        y = eig.basis_vector(eig.EigenSpaceId("PTD", -1), jj)
-        if tr.orthogonality(x, y, cfg.depth) != 0:
-            ok = False
-        x = eig.basis_vector(eig.EigenSpaceId("PD", -1), j)
-        y = eig.basis_vector(eig.EigenSpaceId("PTD", 1), jj)
-        if tr.orthogonality(x, y, cfg.depth) != 0:
-            ok = False
-    for base, space in (("P+D", ("PTD", -1)), ("P-D", ("PTD", 1))):
-        y = eig.basis_vector(eig.EigenSpaceId(*space), 2)
-        if not tr.converse_check(y, base, min(cfg.depth, 24)):
-            ok = False
-    return "orthogonality", ok
+        for sign in (1, -1):
+            x = eig.basis_vector(eig.EigenSpaceId("PD", sign), j)
+            y = eig.basis_vector(eig.EigenSpaceId("PTD", -sign), jj)
+            yield tr.orthogonality(x, y, cfg.depth) == 0
+    for base, sign in (("P+D", -1), ("P-D", 1)):
+        y = eig.basis_vector(eig.EigenSpaceId("PTD", sign), 2)
+        yield tr.converse_check(y, base, min(cfg.depth, 24))
 
 
 def check_pipeline_classes(cfg: RunConfig):
     rng = random.Random(cfg.seed + 3)
-    ok = True
-    builders = [
-        (tr.build_phi, "plain"), (tr.build_phi, "tilde"),
-        (tr.build_psi, "plain"), (tr.build_psi, "tilde"),
-    ]
     dep = min(cfg.depth, 24)
-    for build, variant in builders:
-        for n in (1, 2, 3):
-            pipe = build(n, variant)
-            kind, sign = pipe.output_class()
-            for _ in range(3):
-                y = pipe.apply(_random_finsupp(rng, max_len=5), cfg.mode)
-                if not in_eigenspace(y, kind, sign, dep, cfg.mode):
-                    ok = False
-    return "pipeline-classes", ok
+    for build, variant, n in product((tr.build_phi, tr.build_psi), ("plain", "tilde"), (1, 2, 3)):
+        pipe = build(n, variant)
+        kind, sign = pipe.output_class()
+        for _ in range(3):
+            y = pipe.apply(_random_finsupp(rng, max_len=5), cfg.mode)
+            yield in_eigenspace(y, kind, sign, dep, cfg.mode)
 
 
 SUITES = {
-    "inversion": [
-        check_pd_involution,
-        check_pascal_inverse,
-        check_ptd_involution,
-        check_binomial_involution,
-    ],
-    "similarity": [check_nm_identity, check_block_diag, check_stabilization],
-    "eigen": [check_basis_eigen, check_basis_matrix_agreement],
-    "transforms": [
-        check_table1,
-        check_transform_orbit,
-        check_power_columns,
-        check_orthogonality,
-        check_pipeline_classes,
-    ],
+    "inversion": {
+        "pd-involution": check_pd_involution,
+        "pascal-inverse": check_pascal_inverse,
+        "ptd-involution": check_ptd_involution,
+        "binomial-involution": check_binomial_involution,
+    },
+    "similarity": {
+        "NM-identity": check_nm_identity,
+        "block-diag": check_block_diag,
+        "stabilization": check_stabilization,
+    },
+    "eigen": {
+        "basis-eigen": check_basis_eigen,
+        "basis-matrix-agreement": check_basis_matrix_agreement,
+    },
+    "transforms": {
+        "table1": check_table1,
+        "transform-orbit": check_transform_orbit,
+        "power-columns": check_power_columns,
+        "orthogonality": check_orthogonality,
+        "pipeline-classes": check_pipeline_classes,
+    },
 }
 
 
@@ -265,9 +232,10 @@ def run_suite(suite: str, cfg: RunConfig) -> list[CheckResult]:
     require_mode(cfg.mode)
     results = []
     for name in names:
-        for fn in SUITES[name]:
+        for check_name, check in SUITES[name].items():
             start = time.perf_counter()
-            check_name, passed = fn(cfg)
+            failed = next((k for k, ok in enumerate(check(cfg)) if not ok), None)
             elapsed = (time.perf_counter() - start) * 1000.0
-            results.append(CheckResult(check_name, passed, cfg.depth, elapsed))
+            detail = "" if failed is None else f"case {failed}"
+            results.append(CheckResult(check_name, failed is None, cfg.depth, elapsed, detail))
     return results

@@ -15,9 +15,9 @@ code  meaning
       command: stdout was closed before all output was written
 2     parse or usage error, a depth below 2, a ``--depth``,
       ``--rows`` or ``--cols`` above ``sys.maxsize``, a
-      non-integer prefix given to ``oeis``, or an ``apply``
-      pipeline nested too deeply to evaluate (Python's
-      recursion limit)
+      request that runs out of memory, a non-integer prefix
+      given to ``oeis``, or an ``apply`` pipeline nested too
+      deeply to evaluate (Python's recursion limit)
 3     ``check``: inverse invariant
 4     ``check``: neither
 5     summation error
@@ -266,7 +266,8 @@ def cmd_verify(args) -> int:
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
-            print(f"{status} {r.name} (depth={r.depth}, {r.elapsed_ms:.1f}ms)")
+            tail = f": {r.detail}" if r.detail else ""
+            print(f"{status} {r.name} (depth={r.depth}, {r.elapsed_ms:.1f}ms){tail}")
         print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
     return EXIT_OK if all_ok else EXIT_FAIL
 
@@ -400,6 +401,9 @@ def main(argv=None) -> int:
     except PascalinvError as exc:
         print(f"summation error: {exc}", file=sys.stderr)
         return EXIT_SUMMATION
+    except MemoryError:
+        print("error: not enough memory for this request", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -255,8 +255,8 @@ _RAT = r"[+-]?\d+(?:/\d+)?"
 _RADICAND_DIGITS = 18
 _ROOT = rf"(?:√|sqrt)(?P<d>\d{{1,{_RADICAND_DIGITS}}})"
 _RAT_ONLY = re.compile(rf"^({_RAT})$")
-_QUAD_ONLY = re.compile(rf"^(?P<sign>[+-])?(?P<coef>\d+(?:/\d+)?)?{_ROOT}$")
-_COMBINED = re.compile(rf"^(?P<rat>{_RAT})(?P<sign>[+-])(?P<coef>\d+(?:/\d+)?)?{_ROOT}$")
+# An optional rational part, always followed by the sign of the root's coefficient.
+_QUAD = re.compile(rf"^(?:(?P<rat>{_RAT})(?=[+-]))?(?P<sign>[+-])?(?P<coef>\d+(?:/\d+)?)?{_ROOT}$")
 
 
 def _rational(text: str, literal: str) -> Fraction:
@@ -275,18 +275,12 @@ def parse_scalar(text: str) -> Scalar:
     m = _RAT_ONLY.match(s)
     if m:
         return _rational(s, text)
-    m = _QUAD_ONLY.match(s)
+    m = _QUAD.match(s)
     if m:
         coef = _rational(m.group("coef") or "1", text)
         if m.group("sign") == "-":
             coef = -coef
-        return QuadExt(0, coef, int(m.group("d")))
-    m = _COMBINED.match(s)
-    if m:
-        coef = _rational(m.group("coef") or "1", text)
-        if m.group("sign") == "-":
-            coef = -coef
-        return QuadExt(_rational(m.group("rat"), text), coef, int(m.group("d")))
+        return QuadExt(_rational(m.group("rat") or "0", text), coef, int(m.group("d")))
     raise ValueError(f"not a scalar literal: {text!r}")
 
 

@@ -13,10 +13,28 @@ def test_every_suite_passes_at_small_depths(depth):
     assert [r.name for r in results if not r.passed] == []
 
 
+def test_run_suite_stops_at_the_first_failing_case(monkeypatch):
+    from pascalinv import checks
+
+    def probe(cfg):
+        yield True
+        yield False
+        raise AssertionError("read past the first failing case")
+
+    monkeypatch.setitem(checks.SUITES, "eigen", {"probe": probe})
+    [result] = run_suite("eigen", RunConfig(depth=5))
+    assert (result.name, result.passed, result.depth, result.detail) == ("probe", False, 5, "case 1")
+    assert result.elapsed_ms >= 0
+
+
+def test_passing_checks_leave_detail_empty():
+    assert {r.detail for r in run_suite("all", RunConfig(depth=6))} == {""}
+
+
 def test_power_columns_skip_prefixes_that_are_all_zero():
     # column 4 of (P-D)^1 starts below row 3, so a depth-3 prefix cannot judge it
     assert prefix(power_column("P-D", 1, 4), 3) == [0, 0, 0]
-    assert check_power_columns(RunConfig(depth=3))[1]
+    assert all(check_power_columns(RunConfig(depth=3)))
 
 
 @pytest.mark.parametrize("base, space", [("P+D", ("PTD", -1)), ("P-D", ("PTD", 1))])
@@ -56,5 +74,5 @@ def test_stabilization_at_the_largest_m_decides_every_smaller_one(top):
         for m in range(1, top + 1):
             assert truncate(full, 2 * m, 2 * m) == truncate(factor_chain(kind, m), 2 * m, 2 * m)
     for depth in (2 * top, 2 * top + 1):
-        passed = check_stabilization(RunConfig(depth=depth))[1]
+        passed = all(check_stabilization(RunConfig(depth=depth)))
         assert passed == all(_chain_matches_closed_form(m) for m in range(1, top + 1))

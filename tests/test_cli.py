@@ -170,6 +170,21 @@ def test_verify_json_schema(capsys):
         assert set(r) == {"name", "passed", "depth", "elapsed_ms"}
 
 
+def test_verify_fail_line_names_the_failing_case(capsys, monkeypatch):
+    from pascalinv import checks
+
+    def third_case_fails(cfg):
+        yield from (True, True, False)
+
+    monkeypatch.setitem(checks.SUITES, "eigen", {"probe": third_case_fails})
+    code, out, _ = run(capsys, "verify", "eigen", "--depth", "8")
+    assert code == 1
+    fail, total = out.splitlines()
+    assert fail.startswith("FAIL probe (depth=8, ")
+    assert fail.endswith("ms): case 2")
+    assert total == "0/1 checks passed"
+
+
 def test_table1_rows(capsys):
     code, out, _ = run(capsys, "table1")
     assert code == 0

@@ -207,3 +207,32 @@ def test_oversized_request_ends_in_one_error_line(tmp_path, argv, code, marker):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith(marker), proc.stderr
+
+
+def _cap_memory_at_1_5_gb():
+    resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))
+
+
+# A depth that fits an index but not memory fails its first allocation.
+# `gen kseq` and `matrix --rows` at such sizes grow their work step by step
+# instead of failing one allocation, so they are left out here.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "fib"),
+        ("check", "lucas", "--kind", "first"),
+        ("apply", "t42a", "lucas"),
+        ("verify", "all"),
+    ],
+    ids=["gen", "check", "apply", "verify"],
+)
+def test_depth_past_memory_ends_in_one_error_line(argv):
+    start = time.perf_counter()
+    proc = _python(
+        "-m", "pascalinv", *argv, "--depth", "1000000000000000",
+        timeout=30, preexec_fn=_cap_memory_at_1_5_gb,
+    )
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: not enough memory for this request\n"
