@@ -172,7 +172,6 @@ def check_power_columns(cfg: RunConfig):
 
 
 def check_orthogonality(cfg: RunConfig):
-    # each first-kind space against the second-kind space of the other sign
     rng = random.Random(cfg.seed + 2)
     for _ in range(10):
         j, jj = rng.randint(0, 6), rng.randint(0, 6)

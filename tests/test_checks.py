@@ -1,6 +1,6 @@
 import pytest
 
-from pascalinv.checks import RunConfig, check_power_columns, check_stabilization, run_suite
+from pascalinv.checks import SUITES, RunConfig, check_power_columns, check_stabilization, run_suite
 from pascalinv.eigenstructure import EigenSpaceId, basis_vector, factor_chain, make_M, make_N
 from pascalinv.operators import truncate
 from pascalinv.sequences import FinSupp, check_invariance, lucas, prefix
@@ -11,24 +11,19 @@ from pascalinv.transforms import TRANSFORM_STAGES, Pipeline, converse_check, pow
 def test_every_suite_passes_at_small_depths(depth):
     results = run_suite("all", RunConfig(depth=depth))
     assert [r.name for r in results if not r.passed] == []
+    assert {r.detail for r in results} == {""}
 
 
 def test_run_suite_stops_at_the_first_failing_case(monkeypatch):
-    from pascalinv import checks
-
     def probe(cfg):
         yield True
         yield False
         raise AssertionError("read past the first failing case")
 
-    monkeypatch.setitem(checks.SUITES, "eigen", {"probe": probe})
+    monkeypatch.setitem(SUITES, "eigen", {"probe": probe})
     [result] = run_suite("eigen", RunConfig(depth=5))
     assert (result.name, result.passed, result.depth, result.detail) == ("probe", False, 5, "case 1")
     assert result.elapsed_ms >= 0
-
-
-def test_passing_checks_leave_detail_empty():
-    assert {r.detail for r in run_suite("all", RunConfig(depth=6))} == {""}
 
 
 def test_power_columns_skip_prefixes_that_are_all_zero():
