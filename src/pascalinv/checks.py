@@ -21,6 +21,7 @@ from .sequences import (
     CONTINUED,
     AltBernoulli,
     Bernoulli,
+    ExpComb,
     FinSupp,
     KSeq,
     apply_finite,
@@ -151,16 +152,25 @@ def check_table1(cfg: RunConfig):
         yield prefix(seq(), 13) == row
 
 
+def _agree(x, y, dep: int) -> bool:
+    """x equals y at every index when both are ``ExpComb`` (geometric sequences
+    with distinct ratios are linearly independent, so the canonical pairs
+    decide); otherwise x and y agree on their first dep terms."""
+    if isinstance(x, ExpComb) and isinstance(y, ExpComb):
+        return x == y
+    return prefix(x, dep) == prefix(y, dep)
+
+
 def check_transform_orbit(cfg: RunConfig):
     dep = cfg.depth
     fib, luc = fibonacci(), lucas()
     j0f, j0l = shift_down(fib), shift_down(luc)
-    yield prefix(tr.t42c(luc), dep) == prefix(fib, dep)
-    yield prefix(tr.t42d(fib), dep) == prefix(luc, dep)
-    yield prefix(tr.t42a(j0f), dep) == prefix(j0l, dep)
-    yield prefix(tr.t42b(j0l, cfg.mode), dep) == prefix(j0f, dep)
-    yield prefix(tr.t42c(AltBernoulli()), dep) == prefix(KSeq(), dep)
-    yield prefix(tr.t42d(KSeq()), dep) == prefix(AltBernoulli(), dep)
+    yield _agree(tr.t42c(luc), fib, dep)
+    yield _agree(tr.t42d(fib), luc, dep)
+    yield _agree(tr.t42a(j0f), j0l, dep)
+    yield _agree(tr.t42b(j0l, cfg.mode), j0f, dep)
+    yield _agree(tr.t42c(AltBernoulli()), KSeq(), dep)
+    yield _agree(tr.t42d(KSeq()), AltBernoulli(), dep)
 
 
 def check_power_columns(cfg: RunConfig):

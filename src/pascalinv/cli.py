@@ -259,7 +259,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         rows = [
             {"name": r.name, "passed": r.passed, "depth": r.depth,
-             "elapsed_ms": round(r.elapsed_ms, 3)}
+             "elapsed_ms": round(r.elapsed_ms, 3), "detail": r.detail}
             for r in results
         ]
         print(json.dumps({"suite": args.suite, "all_passed": all_ok, "results": rows}))

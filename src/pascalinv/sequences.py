@@ -105,14 +105,19 @@ class FinSupp(Seq, Record):
 
     def __init__(self, terms=()):
         ts = tuple(terms)
-        while ts and ts[-1] == 0:
-            ts = ts[:-1]
-        vars(self).update(terms=ts)
+        n = len(ts)
+        while n and ts[n - 1] == 0:
+            n -= 1
+        vars(self).update(terms=ts[:n])
 
     def term(self, n):
         if n < 0:
             raise ValueError("n must be >= 0")
         return self.terms[n] if n < len(self.terms) else 0
+
+    def _prefix(self, depth):
+        ts = self.terms
+        return list(ts[:depth]) + [0] * (depth - len(ts))
 
     @property
     def support_bound(self) -> int:
@@ -345,7 +350,12 @@ def apply_finite(op: TriOp, seq: Seq, depth: int) -> list:
         )
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return _row_sums(op, seq.prefix(depth + op.band.above) if depth else [], depth)
+    if not depth:
+        return []
+    need = depth + op.band.above
+    # stored terms suffice: _row_sums reads terms past their end as zero
+    xs = seq.terms[:need] if isinstance(seq, FinSupp) else seq.prefix(need)
+    return _row_sums(op, xs, depth)
 
 
 def _row_sums(op: TriOp, xs: list, depth: int) -> list:

@@ -1,9 +1,19 @@
+from itertools import islice
+
 import pytest
 
-from pascalinv.checks import SUITES, RunConfig, check_power_columns, check_stabilization, run_suite
+from pascalinv import transforms
+from pascalinv.checks import (
+    SUITES,
+    RunConfig,
+    check_power_columns,
+    check_stabilization,
+    check_transform_orbit,
+    run_suite,
+)
 from pascalinv.eigenstructure import EigenSpaceId, basis_vector, factor_chain, make_M, make_N
 from pascalinv.operators import truncate
-from pascalinv.sequences import FinSupp, check_invariance, lucas, prefix
+from pascalinv.sequences import ExpComb, FinSupp, check_invariance, fibonacci, lucas, prefix
 from pascalinv.transforms import TRANSFORM_STAGES, Pipeline, converse_check, power_column
 
 
@@ -71,3 +81,25 @@ def test_stabilization_at_the_largest_m_decides_every_smaller_one(top):
     for depth in (2 * top, 2 * top + 1):
         passed = all(check_stabilization(RunConfig(depth=depth)))
         assert passed == all(_chain_matches_closed_form(m) for m in range(1, top + 1))
+
+
+@pytest.mark.parametrize("case, name", enumerate(("t42c", "t42d", "t42a", "t42b")))
+def test_transform_orbit_names_a_broken_map(case, name, monkeypatch):
+    monkeypatch.setattr(transforms, name, lambda x, *mode: x)
+    for depth in (2, 16):
+        orbit = {r.name: r for r in run_suite("transforms", RunConfig(depth=depth))}
+        result = orbit["transform-orbit"]
+        assert (result.passed, result.detail) == (False, f"case {case}")
+
+
+def test_binet_orbit_lines_read_no_prefix(monkeypatch):
+    def no_prefix(self, depth):
+        raise AssertionError("an ExpComb prefix was read")
+
+    monkeypatch.setattr(ExpComb, "_prefix", no_prefix)
+    with pytest.raises(AssertionError, match="prefix was read"):
+        prefix(fibonacci(), 3)
+    for depth in (0, 8, 64):
+        for mode in ("continued", "classical"):
+            binet = islice(check_transform_orbit(RunConfig(depth=depth, mode=mode)), 4)
+            assert list(binet) == [True] * 4

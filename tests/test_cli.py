@@ -167,7 +167,8 @@ def test_verify_json_schema(capsys):
     names = {r["name"] for r in payload["results"]}
     assert {"pd-involution", "pascal-inverse", "ptd-involution"} <= names
     for r in payload["results"]:
-        assert set(r) == {"name", "passed", "depth", "elapsed_ms"}
+        assert set(r) == {"name", "passed", "depth", "elapsed_ms", "detail"}
+        assert r["detail"] == ""
 
 
 def test_verify_fail_line_names_the_failing_case(capsys, monkeypatch):
@@ -183,6 +184,25 @@ def test_verify_fail_line_names_the_failing_case(capsys, monkeypatch):
     assert fail.startswith("FAIL probe (depth=8, ")
     assert fail.endswith("ms): case 2")
     assert total == "0/1 checks passed"
+
+
+def test_verify_json_names_the_failing_case(capsys, monkeypatch):
+    from pascalinv import checks
+
+    def passes(cfg):
+        yield True
+
+    def second_case_fails(cfg):
+        yield from (True, False, True)
+
+    monkeypatch.setitem(checks.SUITES, "eigen", {"ok": passes, "probe": second_case_fails})
+    code, out, _ = run(capsys, "verify", "eigen", "--depth", "8", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_passed"] is False
+    ok, probe = payload["results"]
+    assert (ok["name"], ok["passed"], ok["detail"]) == ("ok", True, "")
+    assert (probe["name"], probe["passed"], probe["detail"]) == ("probe", False, "case 1")
 
 
 def test_table1_rows(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from pascalinv.errors import (
     PoleError,
     UnsupportedSequenceError,
 )
-from pascalinv.operators import make_operator, op_power, pd, ptd
+from pascalinv.operators import lin_comb, make_operator, op_power, pd, ptd
 from pascalinv.scalars import QuadExt, binomial
 from pascalinv.sequences import (
     TAU1,
@@ -630,3 +631,89 @@ def test_oracle_lazy_caches_only_its_prefix():
     assert seq.term(9) == seq.term(9) == Fraction(1, 10)
     assert calls[9] == 2  # past it, each read asks the oracle
     assert not any(hasattr(v, "cache_info") for v in vars(seq).values())
+
+
+def test_finsupp_strips_a_long_zero_tail_in_linear_time():
+    start = time.perf_counter()
+    x = FinSupp([1] + [0] * 200_000)
+    assert time.perf_counter() - start < 2
+    assert x == FinSupp([1])
+
+
+@pytest.mark.parametrize("terms", [(), (3,), (0, Fraction(-1, 2), QuadExt(1, 1, 5), 0, 7)])
+def test_finsupp_prefix_matches_its_terms(terms):
+    x = FinSupp(terms)
+    for depth in range(len(terms) + 4):
+        got = x.prefix(depth)
+        want = [x.term(n) for n in range(depth)]
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+
+FINITE_OPS = {
+    "P": lambda: make_operator("P"),
+    "PD": pd,
+    "D": lambda: make_operator("D"),
+    "J(2)": lambda: make_operator("J", 2),
+    "qdown": qdown,
+    "zero_top_pdown": zero_top_pdown,
+    "banded lin_comb": lambda: lin_comb(
+        Fraction(1, 2), make_operator("J", -3), 2, make_operator("D")
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "quadratic"])
+@pytest.mark.parametrize("name", sorted(FINITE_OPS))
+def test_apply_finite_reads_finsupp_terms_like_a_padded_prefix(name, kind):
+    """A FinSupp's stored terms give the image of the same terms padded with zeros."""
+    op = FINITE_OPS[name]()
+    rng = random.Random(f"{name}:{kind}")
+    for _ in range(6):
+        x = FinSupp(draw_prefix(rng, kind, rng.randint(0, 7)))
+        t = x.terms
+        padded = Lazy(rows=lambda d, t=t: list(t[:d]) + [0] * (d - len(t)))
+        for depth in range(len(t) + 4):
+            assert apply_finite(op, x, depth) == apply_finite(op, padded, depth)
+
+
+# QuadExt(2, 0, 5) equals the ratio 2, so the two merge
+RATIOS = [0, 1, -1, Fraction(1, 2), 2, QuadExt(2, 0, 5), TAU1, TAU2, QuadExt(0, 1, 5)]
+
+
+scalars_q5 = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.builds(
+        lambda a, b: QuadExt(a, b, 5),
+        st.fractions(min_value=-2, max_value=2, max_denominator=2),
+        st.fractions(min_value=-2, max_value=2, max_denominator=2),
+    ),
+)
+pair_lists = st.lists(st.tuples(scalars_q5, st.sampled_from(RATIOS)), max_size=5)
+
+
+@st.composite
+def expcomb_pairs(draw):
+    """Two ExpCombs; the second often rearranges the first's pairs, splits a
+    coefficient in two or adds pairs that cancel, so both outcomes occur."""
+    xs = draw(pair_lists)
+    ys = list(draw(st.permutations(xs)))
+    if ys and draw(st.booleans()):
+        c, r = ys.pop()
+        part = draw(scalars_q5)
+        ys += [(part, r), (c - part, r)]
+    if draw(st.booleans()):
+        c, r = draw(scalars_q5), draw(st.sampled_from(RATIOS))
+        ys += [(c, r), (-c, r)]
+    if draw(st.booleans()):
+        ys += draw(pair_lists)
+    return ExpComb(xs), ExpComb(ys)
+
+
+@given(expcomb_pairs())
+def test_expcomb_equality_decides_every_index(xy):
+    """Geometric sequences with distinct ratios are independent, so equal
+    canonical pairs are exactly equal 2k-prefixes, k the distinct ratios."""
+    x, y = xy
+    k = len({r for _, r in x.pairs + y.pairs})
+    assert (x == y) == (prefix(x, 2 * k) == prefix(y, 2 * k))
