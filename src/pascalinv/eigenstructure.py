@@ -124,25 +124,39 @@ def verify_block_diag(m: int) -> bool:
     return upper_ok and lower_ok
 
 
+def _riordan(op: TriOp, name: str) -> TriOp:
+    # the tag names the Riordan row rule of sequences._row_sums
+    return TriOp(op.band, op.entry, op.label, (name,))
+
+
 def ptdown() -> TriOp:
-    """Down-shifted transposed Pascal matrix; its columns span the +1 space of P^T D."""
-    return downshift(make_operator("PT"))
+    """Down-shifted transposed Pascal matrix; its columns span the +1 space of P^T D.
+
+    Column j is (z + z^2)^j."""
+    return _riordan(downshift(make_operator("PT")), "ptdown")
 
 
 def qtdown00() -> TriOp:
-    """Down-shifted Q^T with row 0 and column 0 removed; columns span the -1 space of P^T D."""
-    return delete_leading(downshift(make_operator("QT")), 1, 1)
+    """Down-shifted Q^T with row 0 and column 0 removed; columns span the -1 space of P^T D.
+
+    Column j is (1 + 2z)(z + z^2)^j."""
+    return _riordan(delete_leading(downshift(make_operator("QT")), 1, 1), "qtdown00")
 
 
 def qdown() -> TriOp:
-    """Down-shifted Q; its columns span the +1 space of P D."""
-    return downshift(make_operator("Q"))
+    """Down-shifted Q; its columns span the +1 space of P D.
+
+    Column j is (2 - z)/(1 - z) (z^2/(1 - z))^j."""
+    return _riordan(downshift(make_operator("Q")), "qdown")
 
 
 def zero_top_pdown() -> TriOp:
     """Down-shifted Pascal matrix under one zero row, entry (i, j) = C(i-1-j, j) for
-    i > j; columns span the -1 space of P D."""
-    return TriOp(LOWER, lambda i, j: binomial(i - 1 - j, j) if i > j else 0, "J(0)^T·P↓")
+    i > j; columns span the -1 space of P D.
+
+    Column j is z/(1 - z) (z^2/(1 - z))^j."""
+    return TriOp(LOWER, lambda i, j: binomial(i - 1 - j, j) if i > j else 0, "J(0)^T·P↓",
+                 ("zero_top_pdown",))
 
 
 # (kind, sign) -> the matrix whose columns span that eigenspace: the sign's

@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
+from math import gcd, lcm
 from operator import neg
 from typing import Callable, Optional
 
@@ -34,7 +34,8 @@ from .errors import (
     UnsupportedSequenceError,
 )
 from .operators import TriOp, make_operator, pd, ptd
-from .scalars import QuadExt, Scalar, binomial, exact_div, scalar_cmp
+from .rowrules import ROW_RULES, difference_heads, differences
+from .scalars import QuadExt, Scalar, exact_div, scalar_cmp
 
 CLASSICAL = "classical"
 CONTINUED = "continued"
@@ -54,18 +55,35 @@ TAU2 = QuadExt(Fraction(1, 2), Fraction(-1, 2), 5)
 INV_SQRT5 = QuadExt(0, Fraction(1, 5), 5)
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
+# B_k == _BERNOULLI_NUMS[k] / _BERNOULLI_DEN for every cached k
+_BERNOULLI_NUMS: list[int] = [1]
+_BERNOULLI_DEN = 1
 _BERNOULLI_LOCK = threading.Lock()
 
 
 def bernoulli_number(n: int) -> Fraction:
-    """B_n with B_1 = -1/2, from C(n+1, n)*B_n = -sum_{k<n} C(n+1, k)*B_k."""
+    """B_n with B_1 = -1/2, from C(n+1, n)*B_n = -sum_{k<n} C(n+1, k)*B_k,
+    summed in integers over the cache's common denominator, with C(n+1, k)
+    stepped along the row."""
+    global _BERNOULLI_DEN
     if n < 0:
         raise ValueError("n must be >= 0")
     with _BERNOULLI_LOCK:
-        while len(_BERNOULLI) <= n:
-            m = len(_BERNOULLI)
-            acc = sum(binomial(m + 1, k) * _BERNOULLI[k] for k in range(m))
-            _BERNOULLI.append(Fraction(-acc, m + 1))
+        nums = _BERNOULLI_NUMS
+        while len(nums) <= n:
+            m = len(nums)
+            acc, c = 0, 1
+            for k, t in enumerate(nums):
+                if t:  # B_k = 0 for odd k > 1
+                    acc += c * t
+                c = c * (m + 1 - k) // (k + 1)
+            b = Fraction(-acc, (m + 1) * _BERNOULLI_DEN)
+            scale = b.denominator // gcd(b.denominator, _BERNOULLI_DEN)
+            if scale > 1:
+                nums[:] = [t * scale for t in nums]
+                _BERNOULLI_DEN *= scale
+            nums.append(b.numerator * (_BERNOULLI_DEN // b.denominator))
+            _BERNOULLI.append(b)
         return _BERNOULLI[n]
 
 
@@ -315,27 +333,14 @@ def _difference_once(seq: Seq) -> Seq:
         return FinSupp([seq.term(i + 1) - seq.term(i) for i in range(len(ts))])
     if isinstance(seq, ExpComb):
         return ExpComb([(c * (r - 1), r) for c, r in seq.pairs])
-    return Lazy(label="difference", rows=lambda d: _differences(seq.prefix(d + 1)))
-
-
-def _differences(row: list) -> list:
-    return [row[i + 1] - row[i] for i in range(len(row) - 1)]
+    return Lazy(label="difference", rows=lambda d: differences(seq.prefix(d + 1)))
 
 
 def newton_reconstruct(seq: Seq, depth: int) -> list:
     """Rebuild the prefix from iterated difference heads via sum_k D^k a_0 * C(n, k)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return _row_sums(make_operator("P"), _difference_heads(prefix(seq, depth)), depth)
-
-
-def _difference_heads(row: list) -> list:
-    """Heads Δ^n row_0 of the forward-difference table, n < len(row)."""
-    heads = []
-    while row:
-        heads.append(row[0])
-        row = _differences(row)
-    return heads
+    return _row_sums(make_operator("P"), difference_heads(prefix(seq, depth)), depth)
 
 
 def apply_finite(op: TriOp, seq: Seq, depth: int) -> list:
@@ -364,18 +369,18 @@ def _row_sums(op: TriOp, xs: list, depth: int) -> list:
     Terms past the end of xs read as zero, so a finitely supported sequence
     passes its term tuple unpadded; any other caller passes a prefix that
     covers every row's lookahead.  Rational input is summed in integers over one
-    common denominator, with one division per row.  Row n of PD is
-    sum_k C(n, k) (-1)**k x_k = (-1)**n Δ^n x_0, read off the forward-difference
-    table with subtractions only.
+    common denominator, with one division per row.  An operator whose tag names
+    a rule in ``rowrules.ROW_RULES`` gets its rows from that rule; the others
+    sum ``entry(i, k) * x_k`` over the band.
     """
     xs, den = _over_common_denominator(xs)
-    if op.tag == ("PD",):
-        heads = _difference_heads(xs[:depth] + [0] * (depth - len(xs)))
-        sums = [h if n % 2 == 0 else -h for n, h in enumerate(heads)]
+    rule, any_field = ROW_RULES.get(op.tag[0] if op.tag else None, (None, False))
+    if rule is not None and (any_field or den is not None):
+        sums = rule(xs, depth, *op.tag[1:])
     else:
         span, entry, n = op.band.span, op.entry, len(xs)
         sums = [sum(entry(i, k) * xs[k] for k in span(i, n)) for i in range(depth)]
-    if den == 1:
+    if den is None or den == 1:
         return sums
     inv = Fraction(1, den)
     return [t * inv if isinstance(t, QuadExt) else Fraction(t, den) for t in sums]
@@ -383,11 +388,11 @@ def _row_sums(op: TriOp, xs: list, depth: int) -> list:
 
 def _over_common_denominator(xs: list) -> tuple:
     """(ns, den) with xs[k] == ns[k] / den and every ns[k] an int, when every
-    term is an int or a Fraction; otherwise (list(xs), 1)."""
+    term is an int or a Fraction; otherwise (list(xs), None)."""
     den = 1
     for x in xs:
         if not isinstance(x, (int, Fraction)):
-            return list(xs), 1
+            return list(xs), None
         den = lcm(den, x.denominator)
     return [x.numerator * (den // x.denominator) for x in xs], den
 

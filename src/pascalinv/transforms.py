@@ -136,8 +136,10 @@ def _matrix_stage(name, sets, finsupp_rows=None) -> Stage:
     return Stage(name, run, sets=sets)
 
 
-_STAGE_PTDOWN = _matrix_stage("PTdown", (SECOND, 1), finsupp_rows=lambda b: 2 * b)
-_STAGE_QTDOWN00 = _matrix_stage("QTdown00", (SECOND, -1), finsupp_rows=lambda b: 2 * b + 2)
+# a FinSupp of support b meets columns 0..b-1; the top one has degree 2b-2
+# (leading coefficient 1) in PTdown and 2b-1 (leading coefficient 2) in QTdown00
+_STAGE_PTDOWN = _matrix_stage("PTdown", (SECOND, 1), finsupp_rows=lambda b: max(2 * b - 1, 0))
+_STAGE_QTDOWN00 = _matrix_stage("QTdown00", (SECOND, -1), finsupp_rows=lambda b: 2 * b)
 _STAGE_QDOWN = _matrix_stage("Qdown", (FIRST, 1))
 _STAGE_ZERO_TOP_PDOWN = _matrix_stage("[0;Pdown]", (FIRST, -1))
 

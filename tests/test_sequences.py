@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pascalinv import sequences
+from pascalinv import rowrules, sequences
 from pascalinv.eigenstructure import ptdown, qdown, qtdown00, zero_top_pdown
 from pascalinv.errors import (
     DivergentSumError,
@@ -15,7 +15,7 @@ from pascalinv.errors import (
     PoleError,
     UnsupportedSequenceError,
 )
-from pascalinv.operators import lin_comb, make_operator, op_power, pd, ptd
+from pascalinv.operators import TriOp, lin_comb, make_operator, op_power, pd, ptd
 from pascalinv.scalars import QuadExt, binomial
 from pascalinv.sequences import (
     TAU1,
@@ -338,6 +338,25 @@ def test_bernoulli_and_k_values():
     assert k_number(12) == Fraction(41, 2310)
 
 
+def akiyama_tanigawa(n):
+    """B_0..B_n by the Akiyama–Tanigawa algorithm, which takes B_1 = +1/2."""
+    row, out = [], []
+    for m in range(n + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    return out
+
+
+def test_bernoulli_numbers_match_akiyama_tanigawa():
+    want = akiyama_tanigawa(300)
+    want[1] = -want[1]
+    got = [bernoulli_number(n) for n in range(301)]
+    assert got == want
+    assert all(type(b) is Fraction for b in got)
+
+
 def brute_pd_rows(xs):
     return [
         sum(binomial(n, k) * (-1) ** k * xs[k] for k in range(n + 1))
@@ -442,8 +461,11 @@ KERNEL_OPS = {
     "J(2)": lambda: make_operator("J", 2),
     "Jinv(2)": lambda: make_operator("Jinv", 2),
     "Jinv(√5)": lambda: make_operator("Jinv", QuadExt(0, 1, 5)),
+    "Jinv(-3/2)": lambda: make_operator("Jinv", Fraction(-3, 2)),
     "PD": pd,
+    "PTD": ptd,
     "ptdown": ptdown,
+    "qtdown00": qtdown00,
     "qdown": qdown,
     "zero_top_pdown": zero_top_pdown,
 }
@@ -482,6 +504,29 @@ def test_row_sums_match_brute_force(name, kind):
         got = _row_sums(op, xs, depth)
         assert got == want
         assert all(isinstance(v, (int, Fraction, QuadExt)) for v in got), got
+
+
+# the kernel operators whose tag selects a closed row rule
+RULE_OPS = sorted(name for name, make in KERNEL_OPS.items() if make().tag[0] in rowrules.ROW_RULES)
+
+
+def test_every_row_rule_has_a_kernel_operator():
+    assert {KERNEL_OPS[name]().tag[0] for name in RULE_OPS} == set(rowrules.ROW_RULES)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed", "quadratic"])
+@pytest.mark.parametrize("name", RULE_OPS)
+def test_row_rules_match_the_entry_path(name, kind):
+    """A row rule gives each row with the repr, so the value and the type, of the
+    band-aware entry sums of the same operator without its tag."""
+    op = KERNEL_OPS[name]()
+    untagged = TriOp(op.band, op.entry, op.label)
+    rng = random.Random(f"rule:{name}:{kind}")
+    for length in [0] * 2 + [rng.randint(1, 12) for _ in range(30)]:
+        xs = draw_prefix(rng, kind, length)
+        want = _row_sums(untagged, xs, length + 3)  # row i does not depend on the depth
+        for depth in range(length + 4):
+            assert repr(_row_sums(op, xs, depth)) == repr(want[:depth]), (xs, depth)
 
 
 def quadratic_oracle():

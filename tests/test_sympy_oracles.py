@@ -25,7 +25,7 @@ def to_sympy(block):
 
 
 def test_bernoulli_numbers_match_sympy():
-    for n in range(61):
+    for n in range(201):
         want = sympy.bernoulli(n)
         if n == 1:
             want = -abs(want)  # sympy >= 1.12 takes B_1 = +1/2; the package takes -1/2

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pascalinv.eigenstructure import EigenSpaceId, basis_vector, qtdown00
+from pascalinv import transforms
+from pascalinv.eigenstructure import EigenSpaceId, basis_vector, ptdown, qtdown00
 from pascalinv.errors import DivergentSumError, PoleError, UnsupportedPairError
+from pascalinv.scalars import QuadExt
 from pascalinv.sequences import (
     AltBernoulli,
     ExpComb,
@@ -315,3 +317,32 @@ def test_t42_stages_land_in_the_class_they_claim(name, coeffs):
     space = EigenSpaceId("PD" if kind == "first" else "PTD", sign)
     x = reduce(seq_add, [seq_scale(c, basis_vector(space, j)) for j, c in enumerate(coeffs)])
     assert in_eigenspace(stage.run(x, "continued"), *stage.out_class(stage.domain), 24)
+
+
+@pytest.mark.parametrize("variant, bound", [("plain", lambda b: max(2 * b - 1, 0)),
+                                            ("tilde", lambda b: 2 * b)])
+def test_second_kind_projection_support_is_exact(variant, bound, monkeypatch):
+    """The PTdown and QTdown00 stages of a FinSupp of support b have support
+    exactly 2b-1 and 2b: their top column has degree 2b-2 or 2b-1, with
+    leading coefficient 1 or 2, and the stage computes those rows only."""
+    depths = []
+
+    def counting(op, xs, depth):
+        depths.append(depth)
+        return row_sums(op, xs, depth)
+
+    row_sums = transforms._row_sums
+    monkeypatch.setattr(transforms, "_row_sums", counting)
+    pipe = build_phi(1, variant)
+    op = ptdown() if variant == "plain" else qtdown00()
+    rng = random.Random(variant)
+    scalars = [lambda: rng.randint(-3, 3), lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+               lambda: QuadExt(rng.randint(-2, 2), rng.randint(-2, 2), 5)]
+    for length in [0, 1, 2] + [rng.randint(1, 9) for _ in range(30)]:
+        x = FinSupp([rng.choice(scalars)() for _ in range(length)])
+        b = x.support_bound
+        y = pipe.apply(x)
+        assert isinstance(y, FinSupp) and y.support_bound == bound(b), (x, y)
+        assert depths.pop() == bound(b)
+        full = [sum((op.entry(i, j) * t for j, t in enumerate(x.terms)), 0) for i in range(2 * b + 3)]
+        assert prefix(y, 2 * b + 3) == full
