@@ -37,7 +37,7 @@ import sys
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-from .errors import PascalinvError
+from .errors import PascalinvError, SupportCapError
 from .operators import _NAMED, make_operator, truncate
 from .scalars import QuadExt, format_scalar, parse_scalar, scalar_to_json
 from .sequences import (
@@ -230,6 +230,9 @@ def cmd_apply(args) -> int:
     except RecursionError:
         # each stage nests the lazy images of the stages before it
         print(f"error: {len(pipe.steps)} stages nest past the recursion limit", file=sys.stderr)
+        return EXIT_PARSE
+    except SupportCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     announcement = _class_phrase(pipe.output_class())
     _emit_terms(pipe.describe(), terms, args.format, announcement)

@@ -126,6 +126,8 @@ def verify_block_diag(m: int) -> bool:
 
 def _riordan(op: TriOp, name: str) -> TriOp:
     # the tag names the Riordan row rule of sequences._row_sums
+    # (rowrules.ROW_RULES) and the operator's (d, h) pair in riordan.PAIRS,
+    # by which truncate reads a product of such arrays without entry calls
     return TriOp(op.band, op.entry, op.label, (name,))
 
 

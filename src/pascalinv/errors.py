@@ -56,3 +56,7 @@ class UnsupportedSequenceError(PascalinvError):
 
 class UnsupportedPairError(PascalinvError):
     """No exact evaluation mode applies to the given pair of sequences."""
+
+
+class SupportCapError(PascalinvError):
+    """A pipeline would grow a finitely supported input past ``transforms.SUPPORT_CAP``."""

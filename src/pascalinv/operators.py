@@ -4,7 +4,8 @@ A :class:`TriOp` is a pure function (i, j) -> scalar together with band
 metadata bounding its support.  Operators are never materialised; composition
 builds a new oracle whose inner summation range is finite by construction and
 records its two factors, so :func:`truncate` produces an exact finite block by
-multiplying finite blocks of the factors.
+multiplying finite blocks of the factors, or from the closed Riordan pair of
+the product when every factor has one.
 """
 from __future__ import annotations
 
@@ -287,11 +288,15 @@ class DenseMat(Record):
 def truncate(op: TriOp, m: int, n: int) -> DenseMat:
     """Exact top-left m x n block of the operator.
 
-    A composition is the product of its factors' blocks, with the inner size
-    set by the bands; any other operator fills each row inside its band from
-    ``entry``.  So an s x s block of a product of f lower or upper factors
-    costs O(f s^2) entry calls and at most O(f s^3) scalar products, where the
-    entry oracle of the same product would sum O(s^(f+1)) terms.
+    A composition of Riordan arrays only (``riordan.PAIRS``: P, D, PD, L, Ω,
+    Q and the four eigenbasis matrices) is read column by column from the
+    closed pair of the product: an s x s block costs O(s^2) integer steps
+    and no entry call.  Any other composition is the product of its factors'
+    blocks, with the inner size set by the bands; any other operator fills
+    each row inside its band from ``entry``.  So an s x s block of a product
+    of f lower or upper factors costs O(f s^2) entry calls and at most
+    O(f s^3) scalar products, where the entry oracle of the same product
+    would sum O(s^(f+1)) terms.
     """
     if m < 1 or n < 1:
         raise ValueError("truncation dimensions must be >= 1")
@@ -302,6 +307,11 @@ def _block(op: TriOp, m: int, n: int) -> list:
     """Rows 0..m-1, columns 0..n-1 of op, as lists."""
     tag = op.tag
     if tag and tag[0] == "compose":
+        from . import riordan
+
+        rd = riordan.pair(op)
+        if rd is not None:
+            return riordan.block(rd, m, n)
         _, left, right = tag
         # inner indices past row m-1's band in left or column n-1's in right are zero
         ends = []

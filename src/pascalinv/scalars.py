@@ -234,19 +234,39 @@ def scalar_cmp(x: Scalar, y: Scalar) -> int:
     return -1 if x < y else 1
 
 
+def _int_str(n: int) -> str:
+    """str(n) at any size: past the interpreter's int -> str digit limit
+    (4300 digits by default since Python 3.11), n is cut into two halves of
+    decimal digits, each written on its own."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_str(-n)
+    half = n.bit_length() * 3 // 20  # about half of its decimal digits
+    high, low = divmod(n, 10 ** half)
+    return _int_str(high) + _int_str(low).zfill(half)
+
+
+def _rat_str(q: Fraction) -> str:
+    num = _int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
+
+
 def format_scalar(x: Scalar) -> str:
     """Render a scalar in the literal syntax accepted by :func:`parse_scalar`."""
     x = simplify(x)
     if isinstance(x, Fraction):
-        return str(x)
+        return _rat_str(x)
     parts = []
     if x.a != 0:
-        parts.append(str(x.a))
+        parts.append(_rat_str(x.a))
     coef = x.b
     sign = "-" if coef < 0 else ("+" if parts else "")
     coef = abs(coef)
     root = f"√{x.d}"
-    parts.append(f"{sign}{root}" if coef == 1 else f"{sign}{coef}{root}")
+    parts.append(f"{sign}{root}" if coef == 1 else f"{sign}{_rat_str(coef)}{root}")
     return "".join(parts)
 
 
@@ -289,7 +309,7 @@ def scalar_to_json(x: Scalar):
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
-        return {"num": str(x.numerator), "den": str(x.denominator)}
+        return {"num": _int_str(x.numerator), "den": _int_str(x.denominator)}
     return {
         "a": scalar_to_json(x.a),
         "b": scalar_to_json(x.b),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
+from math import lcm
 from operator import neg
 from typing import Callable, Optional
 
@@ -55,36 +55,43 @@ TAU2 = QuadExt(Fraction(1, 2), Fraction(-1, 2), 5)
 INV_SQRT5 = QuadExt(0, Fraction(1, 5), 5)
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
-# B_k == _BERNOULLI_NUMS[k] / _BERNOULLI_DEN for every cached k
-_BERNOULLI_NUMS: list[int] = [1]
-_BERNOULLI_DEN = 1
 _BERNOULLI_LOCK = threading.Lock()
 
 
 def bernoulli_number(n: int) -> Fraction:
-    """B_n with B_1 = -1/2, from C(n+1, n)*B_n = -sum_{k<n} C(n+1, k)*B_k,
-    summed in integers over the cache's common denominator, with C(n+1, k)
-    stepped along the row."""
-    global _BERNOULLI_DEN
+    """B_n with B_1 = -1/2.  A miss refills the cache up to index
+    max(n, 2·len(cache)) from the tangent numbers T_k (Brent and Harvey,
+    arXiv:1108.0286), as B_2k = (-1)**(k-1) 2k T_k / (4**k (4**k - 1))."""
     if n < 0:
         raise ValueError("n must be >= 0")
     with _BERNOULLI_LOCK:
-        nums = _BERNOULLI_NUMS
-        while len(nums) <= n:
-            m = len(nums)
-            acc, c = 0, 1
-            for k, t in enumerate(nums):
-                if t:  # B_k = 0 for odd k > 1
-                    acc += c * t
-                c = c * (m + 1 - k) // (k + 1)
-            b = Fraction(-acc, (m + 1) * _BERNOULLI_DEN)
-            scale = b.denominator // gcd(b.denominator, _BERNOULLI_DEN)
-            if scale > 1:
-                nums[:] = [t * scale for t in nums]
-                _BERNOULLI_DEN *= scale
-            nums.append(b.numerator * (_BERNOULLI_DEN // b.denominator))
-            _BERNOULLI.append(b)
+        if len(_BERNOULLI) <= n:
+            top = max(n, 2 * len(_BERNOULLI))
+            tangents = _tangent_numbers(top // 2)
+            for m in range(len(_BERNOULLI), top + 1):
+                if m == 1:
+                    b = Fraction(-1, 2)
+                elif m % 2:
+                    b = Fraction(0)
+                else:
+                    k = m // 2
+                    b = Fraction((-1) ** (k - 1) * m * tangents[k], 4 ** k * (4 ** k - 1))
+                _BERNOULLI.append(b)
         return _BERNOULLI[n]
+
+
+def _tangent_numbers(n: int) -> list:
+    """[0, T_1, ..., T_n]: O(n**2) integer steps in place (Brent and Harvey,
+    Algorithm TangentNumbers)."""
+    t = [0] * (n + 1)
+    if n:
+        t[1] = 1
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
 
 
 _K: list[Fraction] = [Fraction(0)]

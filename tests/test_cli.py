@@ -278,3 +278,13 @@ def test_oeis_errors_map_to_exit_codes(capsys, tmp_path, monkeypatch):
     assert code == 2 and err.startswith("error: non-integer term")
     code, _, err = run(capsys, "oeis", "lucas", "--offline", "--cache-dir", cache)
     assert code == 1 and err.startswith("error: no cached response")
+
+
+def test_gen_prints_terms_past_the_int_str_digit_limit(capsys):
+    # 2**14399 has 4335 digits, past the default int -> str limit of Python 3.11
+    code, out, err = run(capsys, "gen", "geom:(1,2)", "--depth", "14400")
+    assert code == 0, err
+    last = out.strip().rsplit(",", 1)[1]
+    assert len(last) == 4335 and last.isdigit()
+    assert int(last[-18:]) == 2 ** 14399 % 10 ** 18
+    assert int(last[:18]) == 2 ** 14399 // 10 ** (4335 - 18)

@@ -235,3 +235,29 @@ def test_depth_past_memory_ends_in_one_error_line(argv):
     assert time.perf_counter() - start < 2
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: not enough memory for this request\n"
+
+
+def test_runaway_pipeline_is_refused_up_front():
+    # phitilde(400) on a FinSupp would double the support about 200 times
+    start = time.perf_counter()
+    proc = _python("-m", "pascalinv", "apply", "phitilde(400)", "finsupp:[1,2]", "--depth", "4",
+                   timeout=10)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "past the cap of 8192" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_riordan_module_loads_with_the_first_composed_truncation():
+    code = (
+        "import sys, pascalinv as pv\n"
+        "pv.check_invariance(pv.lucas(), 'first', 32)\n"
+        "pv.truncate(pv.pd(), 4, 4)\n"
+        "print('pascalinv.riordan' in sys.modules)\n"
+        "pv.truncate(pv.op_power(pv.pd(), 2), 4, 4)\n"
+        "print('pascalinv.riordan' in sys.modules)\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

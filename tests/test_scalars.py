@@ -263,3 +263,18 @@ def test_arithmetic_results_skip_the_square_free_test(monkeypatch):
     lucas().prefix(64)
     check_invariance(fibonacci(), "first", 32)
     assert calls == []
+
+
+@pytest.mark.parametrize("digits", [4299, 4300, 4301, 9000, 20001])
+def test_values_past_the_int_str_digit_limit_render_in_full(digits):
+    # Python 3.11 refuses str() of an int with more than 4300 digits by default
+    big = 10 ** (digits - 1) + 7
+    frac = Fraction(-big, 3)
+    text = format_scalar(frac)
+    assert len(text) == digits + 3 and text.startswith("-1") and text.endswith("7/3")
+    assert text[1:-2].lstrip("0") == text[1:-2]
+    quad = format_scalar(QuadExt(Fraction(1, 2), big, 5))
+    assert quad.startswith("1/2+1") and quad.endswith("7√5") and len(quad) == digits + 6
+    encoded = scalar_to_json(frac)
+    assert (len(encoded["num"]), encoded["den"]) == (digits + 1, "3")
+    assert scalars._int_str(big).count("0") == digits - 2

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pascalinv import transforms
 from pascalinv.eigenstructure import EigenSpaceId, basis_vector, ptdown, qtdown00
-from pascalinv.errors import DivergentSumError, PoleError, UnsupportedPairError
+from pascalinv.errors import DivergentSumError, PoleError, SupportCapError, UnsupportedPairError
 from pascalinv.scalars import QuadExt
 from pascalinv.sequences import (
     AltBernoulli,
@@ -346,3 +346,51 @@ def test_second_kind_projection_support_is_exact(variant, bound, monkeypatch):
         assert depths.pop() == bound(b)
         full = [sum((op.entry(i, j) * t for j, t in enumerate(x.terms)), 0) for i in range(2 * b + 3)]
         assert prefix(y, 2 * b + 3) == full
+
+
+def _supports_stage_by_stage(pipe, x):
+    """The support bound after each stage, while the images stay FinSupps."""
+    out = []
+    for stage in pipe.steps:
+        x = stage.run(x, "continued")
+        if not isinstance(x, FinSupp):
+            break
+        out.append(x.support_bound)
+    return out
+
+
+def test_predicted_support_is_exact_for_phitilde_on_a_short_input():
+    x = FinSupp([1, 2])
+    for n in range(1, 13):
+        pipe = build_phi(n, "tilde")
+        assert list(pipe.predicted_supports(x)) == _supports_stage_by_stage(pipe, x), n
+    assert list(build_phi(12, "tilde").predicted_supports(x))[-2:] == [66, 65]
+
+
+def test_predicted_support_bounds_every_pipeline_stage_by_stage():
+    rng = random.Random("support")
+    for build, variant, n in [(b, v, n) for b in (build_phi, build_psi)
+                              for v in ("plain", "tilde") for n in range(1, 9)]:
+        pipe = build(n, variant)
+        for _ in range(3):
+            x = FinSupp([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for _ in range(rng.randint(0, 5))])
+            predicted = list(pipe.predicted_supports(x))
+            actual = _supports_stage_by_stage(pipe, x)
+            assert len(predicted) == len(actual), (pipe.describe(), x)
+            assert all(a <= p for a, p in zip(actual, predicted)), (pipe.describe(), x)
+    assert list(build_phi(3).predicted_supports(lucas())) == []
+
+
+def test_pipeline_refuses_a_support_past_the_cap_before_any_stage_runs():
+    x = FinSupp([1, 2])
+    assert max(build_phi(24, "tilde").predicted_supports(x)) <= transforms.SUPPORT_CAP
+    ran = []
+    spy = transforms.Stage("spy", lambda s, m: ran.append(s) or s)
+    pipe = Pipeline((spy,) + build_phi(400, "tilde").steps)
+    assert list(pipe.predicted_supports(x)) == []  # the spy stage ends the prediction
+    with pytest.raises(SupportCapError, match=r"stage 25 of 400 .* 8194 terms"):
+        build_phi(400, "tilde").apply(x)
+    with pytest.raises(SupportCapError):
+        Pipeline(build_phi(400, "tilde").steps + (spy,)).apply(x)
+    assert ran == []
