@@ -16,8 +16,10 @@ code  meaning
 2     parse or usage error, a depth below 2, a ``--depth``,
       ``--rows`` or ``--cols`` above ``sys.maxsize``, a
       request that runs out of memory, a non-integer prefix
-      given to ``oeis``, or an ``apply`` pipeline nested too
-      deeply to evaluate (Python's recursion limit)
+      given to ``oeis``, an ``apply`` pipeline nested too
+      deeply to evaluate (Python's recursion limit), or an
+      ``apply`` pipeline that would grow a ``finsupp`` input
+      past the support cap (``transforms.SUPPORT_CAP``)
 3     ``check``: inverse invariant
 4     ``check``: neither
 5     summation error

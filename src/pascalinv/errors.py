@@ -59,4 +59,5 @@ class UnsupportedPairError(PascalinvError):
 
 
 class SupportCapError(PascalinvError):
-    """A pipeline would grow a finitely supported input past ``transforms.SUPPORT_CAP``."""
+    """A pipeline would grow a finitely supported input past
+    ``transforms.SUPPORT_CAP`` terms and past twice its own support."""

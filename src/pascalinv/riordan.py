@@ -107,8 +107,6 @@ def _times(xs: list, poly: tuple, m: int) -> list:
     """xs · poly mod z**m, for len(xs) >= m."""
     if poly == _ONE:
         return xs[:m]
-    if poly == (-1,):
-        return [-x for x in xs[:m]]
     out = [0] * m
     for k, c in enumerate(poly):
         seg = xs[:m - k]
@@ -123,10 +121,6 @@ def _over(xs: list, den: tuple) -> list:
         return xs
     if den == _LESS_Z:
         return list(accumulate(xs))
-    if den == _PLUS_Z:
-        # (-1)**i y_i is the running sum of (-1)**i x_i
-        flip = [-x if i % 2 else x for i, x in enumerate(xs)]
-        return [-y if i % 2 else y for i, y in enumerate(accumulate(flip))]
     lead, tail = den[0], den[1:]
     out: list = []
     for i, x in enumerate(xs):

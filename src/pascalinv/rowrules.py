@@ -33,10 +33,7 @@ def _fit(xs: list, n: int) -> list:
 
 def _pd_rows(xs: list, depth: int) -> list:
     # row n is sum_k C(n, k) (-1)**k x_k = (-1)**n Δ^n x_0, off the difference
-    # table with subtractions only, O(depth**2); a prefix at most half as long
-    # as depth takes PD's Riordan form d·X(h), O(len(xs) depth)
-    if _SHORT * len(xs) <= depth:
-        return _pd_horner(xs, depth)
+    # table with subtractions only
     heads = difference_heads(_fit(xs, depth))
     return [h if n % 2 == 0 else -h for n, h in enumerate(heads)]
 
@@ -84,17 +81,6 @@ def _pascal_step(x, s: list) -> list:
 def _catalan_step(x, s: list) -> list:
     # x + z**2 / (1 - z) s
     return [x, 0] + list(accumulate(s))
-
-
-def _signed_pascal_step(x, s: list) -> list:
-    # x - z / (1 - z) s
-    return [x] + [-t for t in accumulate(s)]
-
-
-# PD = (1/(1 - z), -z/(1 - z)); _pd_rows takes this form when
-# len(xs) <= depth / _SHORT, where it measured faster than the table
-_pd_horner = _riordan_rows(lambda s: list(accumulate(s)), _signed_pascal_step, 1)
-_SHORT = 2
 
 
 # tag head -> (row rule, whether it also takes prefixes over Q(√d)).  The

@@ -108,20 +108,28 @@ class Pipeline(Record):
         vars(self).update(steps=steps)
 
     def apply(self, seq: Seq, mode: str = CONTINUED) -> Seq:
-        """Run the stages in order.  A ``FinSupp`` input whose predicted
-        support passes ``SUPPORT_CAP`` at some stage raises
-        ``SupportCapError`` before any stage runs."""
+        """Run the stages in order, after :meth:`check_support`."""
         require_mode(mode)
-        for k, b in enumerate(self.predicted_supports(seq), 1):
-            if b > SUPPORT_CAP:
-                raise SupportCapError(
-                    f"stage {k} of {len(self.steps)} would grow the support to {b} terms, "
-                    f"past the cap of {SUPPORT_CAP}"
-                )
+        self.check_support(seq)
         out = seq
         for stage in self.steps:
             out = stage.run(out, mode)
         return out
+
+    def check_support(self, seq: Seq) -> None:
+        """Raise ``SupportCapError`` if some stage would grow the support of a
+        ``FinSupp`` input past ``SUPPORT_CAP`` or past twice the input's own
+        support, whichever is larger; a pipeline that grows its input less
+        than that runs, however long the input."""
+        if not isinstance(seq, FinSupp):
+            return
+        cap = max(SUPPORT_CAP, 2 * seq.support_bound)
+        for k, b in enumerate(self.predicted_supports(seq), 1):
+            if b > cap:
+                raise SupportCapError(
+                    f"stage {k} of {len(self.steps)} would grow the support to {b} terms, "
+                    f"past the cap of {cap}"
+                )
 
     def predicted_supports(self, seq: Seq):
         """Yield the support bound of each stage's image of a ``FinSupp``
@@ -195,10 +203,14 @@ _FINSUPP_SUPPORT = {
     id(_STAGE_T42D): lambda b: b,  # 2 x_{n+1} - x_n
 }
 
-# The largest support a pipeline may reach from a FinSupp input.  phitilde(N)
-# doubles the support L of a FinSupp every two stages, to about 2**(N/2), and
-# each QTdown00 stage then costs O(L**2) additions of L-bit numbers: 0.88 s
-# for N = 24 (support 4,098) and 65 s for N = 28 (16,386; README, "Growth").
+# The largest support a pipeline may reach from a FinSupp input of at most
+# half as many terms.  phitilde(N) doubles the support L of a FinSupp every
+# two stages, to about 2**(N/2), and each QTdown00 stage then costs O(L**2)
+# additions of L-bit numbers: 0.88 s for N = 24 (support 4,098) and 65 s for
+# N = 28 (16,386; README, "Growth").  A longer input may grow to twice its
+# own support, which one doubling stage, or as many t42a stages as the input
+# has terms, stays within: their cost is polynomial in the request, and only
+# repeated doubling past the cap is refused.
 SUPPORT_CAP = 2 ** 13
 
 TRANSFORM_STAGES = {

@@ -288,3 +288,11 @@ def test_gen_prints_terms_past_the_int_str_digit_limit(capsys):
     assert len(last) == 4335 and last.isdigit()
     assert int(last[-18:]) == 2 ** 14399 % 10 ** 18
     assert int(last[:18]) == 2 ** 14399 // 10 ** (4335 - 18)
+
+
+@pytest.mark.parametrize("stage, first_terms", [("t42a", "1,3,3,3"), ("t42d", "1,1,1,1")])
+def test_apply_runs_a_linear_stage_on_a_finsupp_past_the_support_cap(capsys, stage, first_terms):
+    literal = "finsupp:[" + ",".join(["1"] * 9000) + "]"
+    code, out, err = run(capsys, "apply", stage, literal, "--depth", "4", "--format", "csv")
+    assert code == 0, err
+    assert out.strip() == first_terms

@@ -141,8 +141,8 @@ def _random_scalar(rng):
 
 @pytest.mark.parametrize("field", ["int", "mixed"])
 def test_pd_rows_agree_on_short_and_full_prefixes(field):
-    # a prefix at most half the depth takes the Horner form, a padded one the
-    # difference table; both must give the entry sums' values and types
+    # a short prefix and the same prefix padded with zeros to the depth must
+    # both give the entry sums' values and types
     rng = random.Random(field)
     for _ in range(300):
         depth = rng.randint(1, 24)

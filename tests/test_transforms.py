@@ -394,3 +394,16 @@ def test_pipeline_refuses_a_support_past_the_cap_before_any_stage_runs():
     with pytest.raises(SupportCapError):
         Pipeline(build_phi(400, "tilde").steps + (spy,)).apply(x)
     assert ran == []
+
+
+def test_the_cap_counts_growth_not_the_input_support():
+    # an input past the cap may run linear stages and one doubling stage
+    x = FinSupp(list(range(1, 9001)))
+    for name, f in (("t42a", t42a), ("t42d", t42d)):
+        assert Pipeline((TRANSFORM_STAGES[name],)).apply(x) == f(x), name
+    build_phi(2).check_support(x)  # PTdown then t42a: 17,999 + 1 terms
+    build_phi(1, "tilde").check_support(x)  # QTdown00: 18,000 terms
+    with pytest.raises(SupportCapError, match=r"stage 3 of 3 .* past the cap of 18000"):
+        build_phi(3).check_support(x)
+    with pytest.raises(SupportCapError, match=r"stage 3 of 3 .* past the cap of 18000"):
+        build_phi(3).apply(x)
