@@ -125,9 +125,8 @@ def verify_block_diag(m: int) -> bool:
 
 
 def _riordan(op: TriOp, name: str) -> TriOp:
-    # the tag names the Riordan row rule of sequences._row_sums
-    # (rowrules.ROW_RULES) and the operator's (d, h) pair in riordan.PAIRS,
-    # by which truncate reads a product of such arrays without entry calls
+    # the tag names the (d, h) pair in riordan.PAIRS that gives the row rule of
+    # sequences._row_sums and truncates products of such arrays without entries
     return TriOp(op.band, op.entry, op.label, (name,))
 
 

@@ -13,12 +13,12 @@ group", 1991)::
 
 so :func:`block` truncates a product of table operators column by column,
 ``c_0 = d`` and ``c_{j+1} = c_j · h``, without multiplying the factors'
-blocks.
+blocks, and ``ROWS`` builds each pair's row rule for ``sequences._row_sums``.
 """
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Optional
+from typing import Callable, Optional
 
 from .rowrules import _fit
 
@@ -96,10 +96,26 @@ def block(rd: tuple, m: int, n: int) -> list:
     for j in range(1, min(m, n)):
         t = _over(_times(t, g, m - j), hd)
         cols.append([0] * j + t)
-    rows = [list(r) for r in zip(*cols)]
-    if n > m:
-        pad = [0] * (n - m)
-        rows = [r + pad for r in rows]
+    pad = [0] * (n - m)  # the columns from m on lie above row m - 1
+    return [[*r, *pad] for r in zip(*cols)]
+
+
+def _rows(rd: tuple) -> Callable:
+    """The row rule of the Riordan array rd on integer prefixes (terms past
+    the end of xs read as zero): ``d · X(h) mod z**depth`` by Horner's rule,
+    with the lag (the order of h) and ``g = h / z**lag`` fixed once per pair."""
+    (dn, dd), (hn, hd) = rd
+    lag = next(k for k, c in enumerate(hn) if c)
+    g, gap = hn[lag:], [0] * (lag - 1)
+
+    def rows(xs: list, depth: int) -> list:
+        # s_j = x_j + h s_{j+1} mod z**(depth - lag j), so s_{j+1} mod z**m (its
+        # length from the second step on); x_j h**j reaches no row if lag j >= depth
+        s = [0] * depth
+        for j in range(min(len(xs), -(-depth // lag)) - 1, -1, -1):
+            m = max(depth - (j + 1) * lag, 0)
+            s = [xs[j], *gap, *_over(_times(s, g, m), hd)]
+        return _over(_times(s, dn, depth), dd)
     return rows
 
 
@@ -107,11 +123,11 @@ def _times(xs: list, poly: tuple, m: int) -> list:
     """xs · poly mod z**m, for len(xs) >= m."""
     if poly == _ONE:
         return xs[:m]
-    out = [0] * m
-    for k, c in enumerate(poly):
-        seg = xs[:m - k]
-        if c and seg:
-            out[k:k + len(seg)] = [o + c * x for o, x in zip(out[k:], seg)]
+    c, *rest = poly
+    out = xs[:m] if c == 1 else [c * x for x in xs[:m]]
+    for k, c in enumerate(rest, 1):
+        if c:
+            out[k:] = [o + c * x for o, x in zip(out[k:], xs)]
     return out
 
 
@@ -128,6 +144,9 @@ def _over(xs: list, den: tuple) -> list:
             x -= c * out[i - k]
         out.append(lead * x)
     return out
+
+
+ROWS = {head: _rows(rd) for head, rd in PAIRS.items()}
 
 
 def _mul(x: tuple, y: tuple) -> tuple:

@@ -249,6 +249,18 @@ def _int_str(n: int) -> str:
     return _int_str(high) + _int_str(low).zfill(half)
 
 
+def _str_int(s: str) -> int:
+    """int(s) for a digit string of any length, the inverse of :func:`_int_str`:
+    past 640 digits, the least str -> int digit limit an interpreter may set,
+    s is cut into two halves of digits, each read on its own."""
+    if len(s) <= 640:
+        return int(s)
+    if s.startswith("-"):
+        return -_str_int(s[1:])
+    half = len(s) // 2
+    return _str_int(s[:half]) * 10 ** (len(s) - half) + _str_int(s[half:])
+
+
 def _rat_str(q: Fraction) -> str:
     num = _int_str(q.numerator)
     return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
@@ -280,8 +292,9 @@ _QUAD = re.compile(rf"^(?:(?P<rat>{_RAT})(?=[+-]))?(?P<sign>[+-])?(?P<coef>\d+(?
 
 
 def _rational(text: str, literal: str) -> Fraction:
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(_str_int(num), _str_int(den or "1"))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar literal: {literal!r}") from None
 
@@ -319,7 +332,7 @@ def scalar_to_json(x: Scalar):
 
 def scalar_from_json(obj) -> Scalar:
     if "num" in obj:
-        return Fraction(int(obj["num"]), int(obj["den"]))
+        return Fraction(_str_int(obj["num"]), _str_int(obj["den"]))
     return QuadExt(
         scalar_from_json(obj["a"]),
         scalar_from_json(obj["b"]),

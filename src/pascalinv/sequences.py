@@ -376,13 +376,19 @@ def _row_sums(op: TriOp, xs: list, depth: int) -> list:
     Terms past the end of xs read as zero, so a finitely supported sequence
     passes its term tuple unpadded; any other caller passes a prefix that
     covers every row's lookahead.  Rational input is summed in integers over one
-    common denominator, with one division per row.  An operator whose tag names
-    a rule in ``rowrules.ROW_RULES`` gets its rows from that rule; the others
-    sum ``entry(i, k) * x_k`` over the band.
+    common denominator, with one division per row.  The rows come from the
+    operator's own rule in ``rowrules.ROW_RULES``; else, on the integer path
+    (over Q(√d) some rows would change type), from its Riordan pair's rule in
+    ``riordan.ROWS``; else from the sums of ``entry(i, k) * x_k`` over the band.
     """
     xs, den = _over_common_denominator(xs)
-    rule, any_field = ROW_RULES.get(op.tag[0] if op.tag else None, (None, False))
-    if rule is not None and (any_field or den is not None):
+    head = op.tag[0] if op.tag else None
+    rule = ROW_RULES.get(head)
+    if rule is None and den is not None and head:
+        from . import riordan
+
+        rule = riordan.ROWS.get(head)
+    if rule is not None:
         sums = rule(xs, depth, *op.tag[1:])
     else:
         span, entry, n = op.band.span, op.entry, len(xs)

@@ -250,9 +250,15 @@ def test_runaway_pipeline_is_refused_up_front():
 
 
 def test_riordan_module_loads_with_the_first_composed_truncation():
+    # the first-kind checks of the benchmark's Q(√5) and rational shapes run PD's
+    # own row rule, so none of them loads the module
     code = (
         "import sys, pascalinv as pv\n"
+        "from fractions import Fraction as F\n"
         "pv.check_invariance(pv.lucas(), 'first', 32)\n"
+        "pv.check_invariance(pv.KSeq(), 'first', 32)\n"
+        "pv.check_invariance(pv.ExpComb([(F(2), F(1, 3)), (F(2), F(2, 3))]), 'first', 32)\n"
+        "pv.check_invariance(pv.FinSupp([1, F(1, 2)]), 'first', 32)\n"
         "pv.truncate(pv.pd(), 4, 4)\n"
         "print('pascalinv.riordan' in sys.modules)\n"
         "pv.truncate(pv.op_power(pv.pd(), 2), 4, 4)\n"
@@ -261,3 +267,11 @@ def test_riordan_module_loads_with_the_first_composed_truncation():
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_a_literal_past_the_int_str_digit_limit_round_trips():
+    # 5,000 digits, past Python 3.11's default str -> int limit of 4300
+    digits = "1" * 5000
+    proc = _python("-m", "pascalinv", "gen", f"finsupp:[{digits}]", "--depth", "2", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{digits},0\n"

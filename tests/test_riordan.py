@@ -1,7 +1,7 @@
 """Riordan pairs of the Pascal-type operators: each pair against its entry
 oracle, closed products against the block product of entry oracles, the
-truncation of such products without entry calls, and the Horner forms of
-the row rules against the table."""
+truncation of such products without entry calls, and PD's own row rule
+against its pair."""
 import random
 from fractions import Fraction
 from itertools import product
@@ -120,9 +120,10 @@ def _horner(name, xs, depth):
     return [sum(a * x for a, x in zip(row, xs)) for row in rows]
 
 
-@pytest.mark.parametrize("name", ["ptdown", "qtdown00", "qdown", "zero_top_pdown", "PD"])
+@pytest.mark.parametrize("name", ["PD"])
 def test_row_rules_equal_the_table_pair(name):
-    rule = ROW_RULES[name][0]
+    # PD has a rule of its own, the difference table, beside its pair
+    rule = ROW_RULES[name]
     rng = random.Random(name)
     for _ in range(40):
         depth = rng.randint(1, 24)

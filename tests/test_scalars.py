@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -278,3 +280,29 @@ def test_values_past_the_int_str_digit_limit_render_in_full(digits):
     encoded = scalar_to_json(frac)
     assert (len(encoded["num"]), encoded["den"]) == (digits + 1, "3")
     assert scalars._int_str(big).count("0") == digits - 2
+
+
+@pytest.mark.parametrize("digits", [4301, 5000, 100000])
+def test_values_past_the_int_str_digit_limit_round_trip(digits):
+    # Python 3.11 refuses int() of a string of more than 4300 digits by default
+    rng = random.Random(digits)
+    big = rng.randrange(10 ** (digits - 1), 10 ** digits)
+    values = [big, -big, Fraction(-big, 3), Fraction(1, big),
+              QuadExt(Fraction(1, 2), big, 5), QuadExt(-big, Fraction(big, 7), 2)]
+    for x in values:
+        assert parse_scalar(format_scalar(x)) == x
+        assert scalar_from_json(scalar_to_json(x)) == x
+
+
+def test_a_100000_digit_literal_parses_in_under_a_second():
+    text = "-" + "9" * 100000 + "/7"
+    start = time.perf_counter()
+    value = parse_scalar(text)
+    assert time.perf_counter() - start < 1
+    assert value == Fraction(-(10 ** 100000 - 1), 7)
+
+
+@pytest.mark.parametrize("text", ["12a", "", "-", "1" * 700 + "x"])
+def test_malformed_json_digits_still_raise_value_error(text):
+    with pytest.raises(ValueError):
+        scalar_from_json({"num": text, "den": "1"})

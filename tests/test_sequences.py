@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pascalinv import rowrules, sequences
+from pascalinv import riordan, rowrules, sequences
 from pascalinv.eigenstructure import ptdown, qdown, qtdown00, zero_top_pdown
 from pascalinv.errors import (
     DivergentSumError,
@@ -456,6 +456,9 @@ def test_k_number_cache_is_thread_safe():
 
 KERNEL_OPS = {
     "P": lambda: make_operator("P"),
+    "D": lambda: make_operator("D"),
+    "L": lambda: make_operator("L"),
+    "Omega": lambda: make_operator("Omega"),
     "PT": lambda: make_operator("PT"),
     "Q": lambda: make_operator("Q"),
     "J(2)": lambda: make_operator("J", 2),
@@ -506,12 +509,14 @@ def test_row_sums_match_brute_force(name, kind):
         assert all(isinstance(v, (int, Fraction, QuadExt)) for v in got), got
 
 
-# the kernel operators whose tag selects a closed row rule
-RULE_OPS = sorted(name for name, make in KERNEL_OPS.items() if make().tag[0] in rowrules.ROW_RULES)
+# the kernel operators whose tag selects a closed row rule: a rule of its own
+# or the generic rule of a Riordan pair
+RULE_HEADS = set(rowrules.ROW_RULES) | set(riordan.PAIRS)
+RULE_OPS = sorted(name for name, make in KERNEL_OPS.items() if make().tag[0] in RULE_HEADS)
 
 
 def test_every_row_rule_has_a_kernel_operator():
-    assert {KERNEL_OPS[name]().tag[0] for name in RULE_OPS} == set(rowrules.ROW_RULES)
+    assert {KERNEL_OPS[name]().tag[0] for name in RULE_OPS} == RULE_HEADS
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction", "mixed", "quadratic"])
