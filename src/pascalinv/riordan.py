@@ -18,6 +18,7 @@ blocks, and ``ROWS`` builds each pair's row rule for ``sequences._row_sums``.
 from __future__ import annotations
 
 from itertools import accumulate
+from math import gcd
 from typing import Callable, Optional
 
 from .rowrules import _fit
@@ -169,15 +170,53 @@ def _add(x: tuple, y: tuple) -> tuple:
 
 
 def _reduce(num: tuple, den: tuple) -> tuple:
-    """num / den without trailing zeros, den[0] = 1, and 1 / 1 when the two
-    are equal.  There is no gcd, so common factors can stay: d of P**n has
-    degree n - 1 over n, where 1/(1 - nz) would do."""
+    """num / den in lowest terms, without trailing zeros and with den[0] = 1.
+
+    Both are divided by their primitive gcd g.  g divides den over the
+    integers (Gauss's lemma) and den[0] = ±1, so g[0] = ±1 and the division
+    is an exact power-series division, cut to the quotient's length; the
+    signs are fixed last."""
     num, den = _strip(num), _strip(den)
-    if den[0] == -1:
-        num, den = tuple(-c for c in num), tuple(-c for c in den)
     if num == den:
         return _ONE, _ONE
+    # a monomial c z**k is prime to den, whose constant term is ±1
+    g = _gcd(num, den) if len(den) > 1 and len(num) - num.count(0) > 1 else _ONE
+    if len(g) > 1:
+        num = tuple(_over(list(num[: len(num) - len(g) + 1]), g))
+        den = tuple(_over(list(den[: len(den) - len(g) + 1]), g))
+    if den[0] == -1:
+        num, den = tuple(-c for c in num), tuple(-c for c in den)
     return num, den
+
+
+def _gcd(a: tuple, b: tuple) -> tuple:
+    """A gcd of two integer polynomials of degree at least 1, without
+    trailing zeros, by the primitive pseudo-remainder sequence; ``(1,)``
+    once a remainder is a nonzero constant."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _primitive(_prem(a, b))
+    return _ONE if b else _primitive(a)
+
+
+def _prem(a: tuple, b: tuple) -> list:
+    """The pseudo-remainder of a by b, len(a) >= len(b): b[-1]**k a minus a
+    multiple of b, of lower degree than b, without trailing zeros."""
+    top, m = b[-1], len(b) - 1
+    while len(a) > m:
+        c, shift = a[-1], len(a) - 1 - m
+        a = [top * x for x in a[:-1]]
+        for k in range(m):
+            a[shift + k] -= c * b[k]
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _primitive(a: list) -> tuple:
+    g = gcd(*a)
+    return tuple(a) if g == 1 else tuple([c // g for c in a])
 
 
 def _strip(x: tuple) -> tuple:

@@ -10,12 +10,13 @@ rule of its pair, ``riordan.ROWS``, on integer prefixes.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import neg, sub
 
 from .scalars import Scalar, exact_div
 
 
 def differences(row: list) -> list:
-    return [row[i + 1] - row[i] for i in range(len(row) - 1)]
+    return list(map(sub, row[1:], row))
 
 
 def difference_heads(row: list) -> list:
@@ -36,14 +37,16 @@ def _pd_rows(xs: list, depth: int) -> list:
     # row n is sum_k C(n, k) (-1)**k x_k = (-1)**n Δ^n x_0, off the difference
     # table with subtractions only
     heads = difference_heads(_fit(xs, depth))
-    return [h if n % 2 == 0 else -h for n, h in enumerate(heads)]
+    heads[1::2] = map(neg, heads[1::2])
+    return heads
 
 
 def _ptd_rows(xs: list, depth: int) -> list:
     # row n is sum_{k>=n} C(k, n) (-1)**k x_k, entry n of the (n+1)-th iterated
     # suffix sum of (-1)**k x_k; each pass keeps the entries from n on
-    sums = [0] * depth
-    tail = [-x if k % 2 else x for k, x in enumerate(xs)][::-1]
+    sums, tail = [0] * depth, list(xs)
+    tail[1::2] = map(neg, tail[1::2])
+    tail.reverse()
     for n in range(min(depth, len(xs))):
         tail = list(accumulate(tail))
         sums[n] = tail.pop()

@@ -22,6 +22,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import repeat
 from math import lcm
 from operator import neg
 from typing import Callable, Optional
@@ -34,7 +35,7 @@ from .errors import (
     UnsupportedSequenceError,
 )
 from .operators import TriOp, make_operator, pd, ptd
-from .rowrules import ROW_RULES, difference_heads, differences
+from .rowrules import ROW_RULES, _fit, difference_heads, differences
 from .scalars import QuadExt, Scalar, exact_div, scalar_cmp
 
 CLASSICAL = "classical"
@@ -375,13 +376,28 @@ def _row_sums(op: TriOp, xs: list, depth: int) -> list:
 
     Terms past the end of xs read as zero, so a finitely supported sequence
     passes its term tuple unpadded; any other caller passes a prefix that
-    covers every row's lookahead.  Rational input is summed in integers over one
-    common denominator, with one division per row.  The rows come from the
-    operator's own rule in ``rowrules.ROW_RULES``; else, on the integer path
-    (over Q(√d) some rows would change type), from its Riordan pair's rule in
-    ``riordan.ROWS``; else from the sums of ``entry(i, k) * x_k`` over the band.
+    covers every row's lookahead.  Rational input is summed in integers over
+    one common denominator by :func:`_row_numerators`, with one division per
+    row here.
     """
-    xs, den = _over_common_denominator(xs)
+    _, sums, den = _row_numerators(op, xs, depth)
+    if den is None or den == 1:
+        return sums
+    inv = Fraction(1, den)
+    return [t * inv if isinstance(t, QuadExt) else Fraction(t, den) for t in sums]
+
+
+def _row_numerators(op: TriOp, xs: list, depth: int) -> tuple:
+    """(ns, sums, den) with xs[k] == ns[k] / den and sums[i] / den row i of op
+    times xs, every ns[k] an int, when every term of xs is an int or a
+    Fraction; otherwise (list(xs), the rows themselves, None).
+
+    The rows come from the operator's own rule in ``rowrules.ROW_RULES``;
+    else, on the integer path (over Q(√d) some rows would change type), from
+    its Riordan pair's rule in ``riordan.ROWS``; else from the sums of
+    ``entry(i, k) * x_k`` over the band.
+    """
+    ns, den = _over_common_denominator(xs)
     head = op.tag[0] if op.tag else None
     rule = ROW_RULES.get(head)
     if rule is None and den is not None and head:
@@ -389,25 +405,23 @@ def _row_sums(op: TriOp, xs: list, depth: int) -> list:
 
         rule = riordan.ROWS.get(head)
     if rule is not None:
-        sums = rule(xs, depth, *op.tag[1:])
+        sums = rule(ns, depth, *op.tag[1:])
     else:
-        span, entry, n = op.band.span, op.entry, len(xs)
-        sums = [sum(entry(i, k) * xs[k] for k in span(i, n)) for i in range(depth)]
-    if den is None or den == 1:
-        return sums
-    inv = Fraction(1, den)
-    return [t * inv if isinstance(t, QuadExt) else Fraction(t, den) for t in sums]
+        span, entry, n = op.band.span, op.entry, len(ns)
+        sums = [sum(entry(i, k) * ns[k] for k in span(i, n)) for i in range(depth)]
+    return ns, sums, den
 
 
 def _over_common_denominator(xs: list) -> tuple:
     """(ns, den) with xs[k] == ns[k] / den and every ns[k] an int, when every
     term is an int or a Fraction; otherwise (list(xs), None)."""
-    den = 1
-    for x in xs:
-        if not isinstance(x, (int, Fraction)):
-            return list(xs), None
-        den = lcm(den, x.denominator)
-    return [x.numerator * (den // x.denominator) for x in xs], den
+    if not all(map(isinstance, xs, repeat((int, Fraction)))):
+        return list(xs), None
+    dens = [x.denominator for x in xs]
+    den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in xs], den
+    return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
 
 
 def _abs_lt(x: Scalar, y: Scalar) -> bool:
@@ -501,25 +515,29 @@ def check_invariance(
     """Compare the transformed prefix against +seq and -seq up to depth.
 
     First-kind checks apply the signed Pascal involution row by row (exact for
-    every sequence class).  Second-kind checks apply its transpose through
-    :func:`apply_upper` and therefore require finitely supported or geometric
-    input.  A verdict of neither reports as ``first_failure`` the first index
-    by which both comparisons have failed.
+    every sequence class); second-kind checks apply its transpose, which needs
+    finitely supported or geometric input.  Rational terms (for a second-kind
+    ``FinSupp``, all its stored terms, which the upper rows read) are compared
+    with the rows as integer numerators over one common denominator, with no
+    ``Fraction`` per row.  A verdict of neither reports as ``first_failure``
+    the first index by which both comparisons have failed.
     """
     if kind not in (FIRST, SECOND):
         raise ValueError(f"unknown kind: {kind!r}")
     require_mode(mode)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if kind == SECOND and not isinstance(seq, (FinSupp, ExpComb)):
+    if kind == FIRST:
+        xs, image, _ = _row_numerators(pd(), prefix(seq, depth), depth)
+    elif isinstance(seq, FinSupp):
+        ns, image, _ = _row_numerators(ptd(), seq.terms, depth)
+        xs = _fit(ns, depth)
+    elif isinstance(seq, ExpComb):
+        xs, image = prefix(seq, depth), apply_upper(ptd(), seq, mode).prefix(depth)
+    else:
         raise UnsupportedSequenceError(
             "second-kind checks need finitely supported or geometric input"
         )
-    xs = prefix(seq, depth)
-    if kind == FIRST:
-        image = _row_sums(pd(), xs, depth)
-    else:
-        image = apply_upper(ptd(), seq, mode).prefix(depth)
     exact = kind == FIRST or isinstance(seq, FinSupp)
     report_mode = "exact-finite" if exact else _SECOND_KIND_MODE[mode]
     plus = _first_mismatch(image, xs)
@@ -533,10 +551,15 @@ def in_eigenspace(
     seq: Seq, kind: str, sign: int, depth: int, mode: str = CONTINUED
 ) -> bool:
     """Whether :func:`check_invariance` gives seq the sign's verdict, or its
-    depth-prefix is all zero: the zero sequence lies in every eigenspace, and
-    a member may start with more zero rows than the depth."""
-    report = check_invariance(seq, kind, depth, mode)
-    return report.verdict == VERDICT_OF_SIGN[sign] or not any(prefix(seq, depth))
+    depth-prefix and its image are all zero: the zero sequence lies in every
+    eigenspace, and a member may start with more zero rows than the depth.
+    A zero prefix whose second-kind image is not zero, as e_10 at depth 4,
+    is no member."""
+    verdict = check_invariance(seq, kind, depth, mode).verdict
+    # invariant means image == prefix, so a zero prefix then has a zero image
+    return verdict == VERDICT_OF_SIGN[sign] or (
+        verdict == INVARIANT and not any(prefix(seq, depth))
+    )
 
 
 def _first_mismatch(ys: list, xs) -> Optional[int]:

@@ -5,7 +5,15 @@ import pytest
 
 from pascalinv import transforms as tr
 from pascalinv.eigenstructure import BASIS_MATRICES, EigenSpaceId, basis_vector
-from pascalinv.sequences import FIRST, SECOND, FinSupp, in_eigenspace, lucas
+from pascalinv.sequences import (
+    FIRST,
+    SECOND,
+    FinSupp,
+    check_invariance,
+    in_eigenspace,
+    lucas,
+    unit,
+)
 
 
 def test_converse_classes_are_the_other_kind_with_the_opposite_sign():
@@ -67,6 +75,15 @@ def test_a_prefix_of_zeros_is_inconclusive():
     e5 = FinSupp([0] * 5 + [1])
     assert in_eigenspace(e5, FIRST, -1, 5)
     assert not in_eigenspace(e5, FIRST, -1, 7)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_zero_prefix_with_a_nonzero_image_is_no_member(sign):
+    # (P^T D e_10)_0 = C(10, 0) = 1, so the depth-4 image is not zero
+    report = check_invariance(unit(10), SECOND, 4)
+    assert (report.verdict, report.first_failure) == ("neither", 0)
+    assert not in_eigenspace(unit(10), SECOND, sign, 4)
+    assert in_eigenspace(unit(10), FIRST, sign, 4)
 
 
 def test_lucas_is_not_inverse_invariant_of_the_first_kind():

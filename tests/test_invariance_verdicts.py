@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pascalinv import sequences
 from pascalinv.errors import DivergentSumError, UnsupportedSequenceError
 from pascalinv.operators import pd, ptd
 from pascalinv.scalars import QuadExt, scalar_cmp
@@ -25,8 +26,10 @@ from pascalinv.sequences import (
     Bernoulli,
     ExpComb,
     FinSupp,
+    InvarianceReport,
     KSeq,
     Lazy,
+    _row_sums,
     apply_finite,
     apply_upper,
     check_invariance,
@@ -176,3 +179,108 @@ def test_x_plus_minus_pd_x_lies_in_pd_eigenspaces(x, depth, mode):
 def test_x_plus_minus_ptd_x_lies_in_ptd_eigenspaces(x, depth):
     image = apply_upper(ptd(), x, "continued")
     _assert_in_eigenspaces(x, image, "second", depth, "continued")
+
+
+# --- the integer verdict path -------------------------------------------------
+# Rational verdicts compare row numerators with prefix numerators over one
+# common denominator.  Each report must equal the one read off the Fraction
+# images: the kernel's normalised rows for the first kind, and the
+# second-kind image of apply_upper.
+
+
+def _report_from_images(seq, kind, depth, mode):
+    xs = prefix(seq, depth)
+    if kind == "first":
+        image = _row_sums(pd(), xs, depth)
+    else:
+        image = apply_upper(ptd(), seq, mode).prefix(depth)
+    plus = next((i for i in range(depth) if image[i] != xs[i]), None)
+    minus = next((i for i in range(depth) if image[i] != -xs[i]), None)
+    verdict = "invariant" if plus is None else "inverse-invariant" if minus is None else "neither"
+    failure = None if plus is None or minus is None else max(plus, minus)
+    # the inputs here are all judged exactly: first kind, or a FinSupp
+    return InvarianceReport(kind, verdict, depth, "exact-finite", failure)
+
+
+ints = st.integers(min_value=-6, max_value=6)
+rationals = st.one_of(ints, small_fractions, small_fractions.map(lambda q: Fraction(q.numerator)))
+TERM_KINDS = {"int": ints, "fraction": small_fractions, "mixed": rationals}
+rational_terms = st.sampled_from(sorted(TERM_KINDS)).flatmap(
+    lambda kind: st.lists(TERM_KINDS[kind], max_size=12)
+)
+rational_finsupps = rational_terms.map(lambda ts: FinSupp(tuple(ts)))
+rational_prefixes = rational_terms.map(
+    lambda ts: Lazy(rows=lambda d: (ts + [0] * d)[:d], label="rational prefix")
+)
+depths = st.integers(min_value=1, max_value=12)
+
+
+@given(st.one_of(rational_finsupps, rational_prefixes), depths)
+def test_first_kind_integer_verdicts_match_the_fraction_images(x, depth):
+    assert check_invariance(x, "first", depth) == _report_from_images(x, "first", depth, "continued")
+
+
+@given(rational_finsupps, depths, st.sampled_from(MODES))
+def test_second_kind_integer_verdicts_match_the_fraction_images(x, depth, mode):
+    # the support lies above the depth as often as below it
+    report = check_invariance(x, "second", depth, mode)
+    assert report == _report_from_images(x, "second", depth, mode)
+
+
+@given(st.one_of(rational_finsupps, rational_prefixes), depths, st.sampled_from((1, -1)))
+def test_x_plus_minus_pd_x_integer_verdicts_match_the_fraction_images(x, depth, sign):
+    image = Lazy(rows=lambda d: apply_finite(pd(), x, d), label="PD·x")
+    y = seq_add(x, seq_scale(sign, image))
+    report = check_invariance(y, "first", depth)
+    assert report == _report_from_images(y, "first", depth, "continued")
+    assert report.verdict == ("invariant" if sign == 1 or not any(prefix(y, depth))
+                              else "inverse-invariant")
+
+
+@given(rational_finsupps, depths, st.sampled_from((1, -1)), st.sampled_from(MODES))
+def test_x_plus_minus_ptd_x_integer_verdicts_match_the_fraction_images(x, depth, sign, mode):
+    y = seq_add(x, seq_scale(sign, apply_upper(ptd(), x, mode)))
+    report = check_invariance(y, "second", depth, mode)
+    assert report == _report_from_images(y, "second", depth, mode)
+    assert report.verdict == ("invariant" if sign == 1 or not any(prefix(y, depth))
+                              else "inverse-invariant")
+
+
+def _spy_kernel(monkeypatch):
+    """Record the denominator of each kernel call, and count the Fractions
+    built while the spy is on."""
+    dens, built = [], []
+    numerators, new = sequences._row_numerators, Fraction.__new__
+
+    def spy_numerators(op, xs, depth):
+        out = numerators(op, xs, depth)
+        dens.append(out[2])
+        return out
+
+    def spy_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(sequences, "_row_numerators", spy_numerators)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(spy_new))
+    return dens, built
+
+
+def test_a_rational_first_kind_verdict_builds_no_fraction_per_row(monkeypatch):
+    seqs = [FinSupp((Fraction(1, 2), Fraction(-2, 3), 5)), KSeq(), Bernoulli()]
+    for seq in seqs:
+        prefix(seq, 24)  # warm the term caches
+    dens, built = _spy_kernel(monkeypatch)
+    reports = [check_invariance(seq, "first", 24) for seq in seqs]
+    monkeypatch.undo()
+    assert built == []
+    assert len(dens) == 3 and all(isinstance(den, int) and den > 1 for den in dens)
+    assert [r.verdict for r in reports] == ["neither", "inverse-invariant", "neither"]
+
+
+def test_a_quadratic_first_kind_verdict_keeps_the_field_rows(monkeypatch):
+    dens, _ = _spy_kernel(monkeypatch)
+    report = check_invariance(lucas(), "first", 16)
+    monkeypatch.undo()
+    assert dens == [None]
+    assert report.verdict == "invariant"

@@ -92,6 +92,34 @@ def test_inversion_identities_are_closed_products():
     assert riordan.pair(compose(p, dpd)) == identity
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_powers_of_p_reduce_to_lowest_terms(n):
+    # P**n = (1/(1 - nz), z/(1 - nz)): the common factors of the products cancel
+    assert riordan.pair(op_power(make_operator("P"), n)) == (((1,), (1, -n)), ((0, 1), (1, -n)))
+
+
+def _poly_mul(x, y):
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def test_reduce_cancels_a_common_factor_exactly():
+    # a / b in lowest terms, both times a common g with g[0] = ±1
+    rng = random.Random("reduce")
+    for _ in range(200):
+        r, s = rng.sample(range(-6, 7), 2)
+        c = rng.choice((1, -1))
+        a, b = (c, -c * r), (1, -s)  # c (1 - rz) and 1 - sz: roots 1/r and 1/s differ
+        g = (rng.choice((1, -1)), *[rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
+        num, den = _poly_mul(a, g), _poly_mul(b, g)
+        want = tuple(p if p[-1] else p[:1] for p in (a, b))
+        assert riordan._reduce(num, den) == want, (a, b, g)
+        assert riordan._reduce(tuple(-c for c in num), tuple(-c for c in den)) == want
+
+
 def test_a_factor_outside_the_table_has_no_pair():
     p = make_operator("P")
     assert riordan.pair(make_operator("PT")) is None
