@@ -17,7 +17,7 @@ blocks, and ``ROWS`` builds each pair's row rule for ``sequences._row_sums``.
 """
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd
 from typing import Callable, Optional
 
@@ -138,6 +138,10 @@ def _over(xs: list, den: tuple) -> list:
         return xs
     if den == _LESS_Z:
         return list(accumulate(xs))
+    if len(den) == 2:
+        # out_i = lead * (x_i - c * out_{i-1}), one running accumulate
+        lead, c = den
+        return list(islice(accumulate(xs, lambda o, x: lead * (x - c * o), initial=0), 1, None))
     lead, tail = den[0], den[1:]
     out: list = []
     for i, x in enumerate(xs):

@@ -6,13 +6,143 @@ times the sequence whose prefix is xs (terms past its end read as zero),
 over any field, with the values and types of the entry sums
 ``sum_k entry(i, k) * x_k``.  A Riordan array with no rule here takes the
 rule of its pair, ``riordan.ROWS``, on integer prefixes.
+
+``Nums`` is the one internal form of a prefix on its way from a term oracle
+to a verdict: integer numerators over one common denominator, or the terms
+themselves when some term lies in Q(√d).  The helpers below build it and
+step it through the package's lazy images without a ``Fraction`` per term.
 """
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import neg, sub
+from fractions import Fraction
+from itertools import accumulate, repeat
+from math import lcm
+from operator import mul, neg, sub
+from typing import Callable, Optional
 
-from .scalars import Scalar, exact_div
+from .scalars import QuadExt, Scalar, exact_div
+
+_RATIONAL = (int, Fraction)
+
+
+class Nums:
+    """Terms ``ns[k] / den``, every ns[k] an int and den a positive int; or,
+    with ``den`` None, the terms themselves in ns (some term is not rational).
+    It is not a list, so code that takes it for a prefix fails at once."""
+
+    __slots__ = ("ns", "den", "_terms")
+
+    def __init__(self, ns: list, den):
+        self.ns, self.den, self._terms = ns, den, None
+
+    def __len__(self):
+        return len(self.ns)
+
+    def terms(self) -> list:
+        """The terms, built once; ns itself when den is None or 1."""
+        if self._terms is None:
+            ns, den = self.ns, self.den
+            self._terms = ns if den is None or den == 1 else [Fraction(n, den) for n in ns]
+        return self._terms
+
+    def map(self, rule: Callable) -> "Nums":
+        """rule applied to the numerators (or terms) over the same denominator:
+        a shift or a difference, the same code for both kinds of form."""
+        return Nums(rule(self.ns), self.den)
+
+
+def terms_of(held) -> list:
+    """The terms of a prefix held as a list or as a ``Nums``."""
+    return held.terms() if isinstance(held, Nums) else held
+
+
+def _over_common_denominator(xs) -> Nums:
+    """xs itself if it is a ``Nums``; else the terms xs over their least common
+    denominator, when every term is an int or a Fraction, or ``Nums(list(xs), None)``."""
+    if isinstance(xs, Nums):
+        return xs
+    if not all(map(isinstance, xs, repeat(_RATIONAL))):
+        return Nums(list(xs), None)
+    dens = [x.denominator for x in xs]
+    den = lcm(*dens)
+    if den == 1:
+        return Nums([x.numerator for x in xs], den)
+    return Nums([x.numerator * (den // d) for x, d in zip(xs, dens)], den)
+
+
+def rows_over(sums: list, den) -> Nums:
+    """The form of rows ``sums[i] / den`` from a rule: off the integers (entry
+    sums, ``J(a)^-1``), the rows divided as ``_row_sums`` returns them."""
+    if den is None or all(map(isinstance, sums, repeat(int))):
+        return Nums(sums, den)
+    if den != 1:
+        inv = Fraction(1, den)
+        sums = [t * inv if isinstance(t, QuadExt) else Fraction(t, den) for t in sums]
+    return Nums(sums, None)
+
+
+def _geometric_sums(pairs: tuple, depth: int) -> Optional[tuple]:
+    """(s, b, q) with sum_j c_j r_j**n == s[n] / (b q**n) for n < depth, b and
+    q the least common denominators of the c_j and of the r_j, when every
+    c_j and r_j is an int or a Fraction (else None): each pair steps a·p**n
+    in integers."""
+    if not all(isinstance(v, _RATIONAL) for pair in pairs for v in pair):
+        return None
+    b = lcm(*[c.denominator for c, _ in pairs])
+    q = lcm(*[r.denominator for _, r in pairs])
+    out = [0] * depth
+    for c, r in pairs:
+        w, p = c.numerator * (b // c.denominator), r.numerator * (q // r.denominator)
+        for n in range(depth):
+            out[n] += w
+            w *= p
+    return out, b, q
+
+
+def geometric_terms(pairs: tuple, depth: int) -> list:
+    """Terms 0..depth-1 of sum_j c_j r_j**n with the values and types of
+    ``ExpComb.term``: rational pairs divide their integer sums once per term,
+    and other pairs step c·r**n by one multiply per term."""
+    got = _geometric_sums(pairs, depth)
+    if got is None:
+        out = [0] * depth
+        for c, r in pairs:
+            w = c * r**0
+            for n in range(depth):
+                out[n] += w
+                w = w * r
+        return out
+    s, b, q = got
+    if all(isinstance(v, int) for pair in pairs for v in pair):
+        return s
+    return list(map(Fraction, s, accumulate(repeat(q, depth - 1), mul, initial=b)))
+
+
+def geometric_nums(pairs: tuple, depth: int) -> Nums:
+    """The ``Nums`` of the same terms: over B·Q**(depth-1), the sums scaled
+    by Q**(depth-1-n) once, when the pairs are rational; else the terms."""
+    got = _geometric_sums(pairs, depth)
+    if got is None:
+        return Nums(geometric_terms(pairs, depth), None)
+    s, b, q = got
+    powers = list(accumulate(repeat(q, depth - 1), mul, initial=1))
+    return Nums(list(map(mul, s, reversed(powers))), b * powers[-1])
+
+
+def scaled(c: Scalar, f: Nums) -> Nums:
+    """c times the prefix f: one integer step on rational data."""
+    if f.den is not None and isinstance(c, _RATIONAL):
+        return Nums([c.numerator * n for n in f.ns], f.den * c.denominator)
+    return Nums([c * t for t in f.terms()], None)
+
+
+def added(f: Nums, g: Nums) -> Nums:
+    """The termwise sum of two prefixes, to the shorter length."""
+    if f.den is None or g.den is None:
+        return Nums([a + b for a, b in zip(f.terms(), g.terms())], None)
+    den = lcm(f.den, g.den)
+    a, b = den // f.den, den // g.den
+    return Nums([a * x + b * y for x, y in zip(f.ns, g.ns)], den)
 
 
 def differences(row: list) -> list:

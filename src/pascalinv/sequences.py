@@ -22,8 +22,6 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import repeat
-from math import lcm
 from operator import neg
 from typing import Callable, Optional
 
@@ -35,7 +33,9 @@ from .errors import (
     UnsupportedSequenceError,
 )
 from .operators import TriOp, make_operator, pd, ptd
-from .rowrules import ROW_RULES, _fit, difference_heads, differences
+from .rowrules import (ROW_RULES, Nums, _fit, _over_common_denominator, added, difference_heads,
+                       differences, geometric_nums, geometric_terms, rows_over, scaled,
+                       terms_of)
 from .scalars import QuadExt, Scalar, exact_div, scalar_cmp
 
 CLASSICAL = "classical"
@@ -125,6 +125,10 @@ class Seq:
     def _prefix(self, depth: int) -> list:
         return [self.term(n) for n in range(depth)]
 
+    def _nums(self, depth: int) -> Nums:
+        # terms 0..depth-1 (or more) as a rowrules.Nums
+        return _over_common_denominator(self.prefix(depth))
+
 
 class FinSupp(Seq, Record):
     _fields = ("terms",)
@@ -178,14 +182,10 @@ class ExpComb(Seq, Record):
         return total
 
     def _prefix(self, depth):
-        # step c * r**n by one multiply per term; same values and types as term(n)
-        out = [0] * depth
-        for c, r in self.pairs:
-            w = c * r**0
-            for n in range(depth):
-                out[n] += w
-                w = w * r
-        return out
+        return geometric_terms(self.pairs, depth)
+
+    def _nums(self, depth):
+        return geometric_nums(self.pairs, depth)
 
 
 def geometric(c: Scalar, r: Scalar) -> ExpComb:
@@ -202,29 +202,48 @@ def lucas() -> ExpComb:
     return ExpComb(((Fraction(1), TAU1), (Fraction(1), TAU2)))
 
 
+def _cached(cache: list, fill: Callable, depth: int) -> list:
+    # one fill (one lock), then one slice of the append-only cache
+    if depth:
+        fill(depth - 1)
+    return cache[:depth]
+
+
 class Bernoulli(Seq, Record):
     def term(self, n):
         return bernoulli_number(n)
+
+    def _prefix(self, depth):
+        return _cached(_BERNOULLI, bernoulli_number, depth)
 
 
 class AltBernoulli(Seq, Record):
     def term(self, n):
         return (-1) ** n * bernoulli_number(n)
 
+    def _nums(self, depth):
+        held = _over_common_denominator(_cached(_BERNOULLI, bernoulli_number, depth))
+        held.ns[1:2] = map(neg, held.ns[1:2])  # B_n = 0 at every other odd n
+        return held
+
 
 class KSeq(Seq, Record):
     def term(self, n):
         return k_number(n)
+
+    def _prefix(self, depth):
+        return _cached(_K, k_number, depth)
 
 
 class Lazy(Seq, Record):
     """An exact sequence given by a term oracle or by a prefix rule.
 
     Give exactly one of ``oracle(n)``, one term, or ``rows(depth)``, the list
-    of terms 0..depth-1 at once.  Images built by this package give ``rows``,
-    so a prefix reads each input term once.  Compares by identity and keeps
-    the longest prefix computed so far, its only cache: ``term(n)`` past that
-    prefix calls the oracle again, while a prefix computes each term once.
+    of terms 0..depth-1 at once.  Images built by this package give ``rows``
+    returning a ``rowrules.Nums`` (made terms once), so a prefix reads each
+    input term once.  Compares by identity and keeps the longest
+    prefix computed so far, its only cache: ``term(n)`` past that prefix
+    calls the oracle again, while a prefix computes each term once.
     """
 
     _fields = ("label",)  # shown by repr; equality is identity
@@ -246,13 +265,17 @@ class Lazy(Seq, Record):
                 return self.oracle(n)
             # grow geometrically so that reading terms in order stays linear
             head = self._extend(max(n + 1, 2 * len(head)))
-        return head[n]
+        return terms_of(head)[n]
 
     def _prefix(self, depth):
+        return terms_of(self._held(depth))[:depth]
+
+    def _nums(self, depth):
+        return _over_common_denominator(self._held(depth))
+
+    def _held(self, depth):
         head = self._head
-        if depth > len(head):
-            head = self._extend(depth)
-        return head[:depth]
+        return head if depth <= len(head) else self._extend(depth)
 
     def _extend(self, depth):
         head = self._head
@@ -286,7 +309,7 @@ def seq_scale(c: Scalar, seq: Seq) -> Seq:
         return FinSupp([c * t for t in seq.terms])
     if isinstance(seq, ExpComb):
         return ExpComb([(c * cc, r) for cc, r in seq.pairs])
-    return Lazy(label="scaled", rows=lambda d: [c * t for t in seq.prefix(d)])
+    return Lazy(label="scaled", rows=lambda d: scaled(c, seq._nums(d)))
 
 
 def seq_add(x: Seq, y: Seq) -> Seq:
@@ -295,9 +318,7 @@ def seq_add(x: Seq, y: Seq) -> Seq:
         return FinSupp([x.term(i) + y.term(i) for i in range(n)])
     if isinstance(x, ExpComb) and isinstance(y, ExpComb):
         return ExpComb(x.pairs + y.pairs)
-    return Lazy(
-        label="sum", rows=lambda d: [a + b for a, b in zip(x.prefix(d), y.prefix(d))]
-    )
+    return Lazy(label="sum", rows=lambda d: added(x._nums(d), y._nums(d)))
 
 
 def shift_down(seq: Seq) -> Seq:
@@ -306,7 +327,7 @@ def shift_down(seq: Seq) -> Seq:
         return FinSupp(seq.terms[1:])
     if isinstance(seq, ExpComb):
         return ExpComb([(c * r, r) for c, r in seq.pairs])
-    return Lazy(label="shifted-down", rows=lambda d: seq.prefix(d + 1)[1:])
+    return Lazy(label="shifted-down", rows=lambda d: seq._nums(d + 1).map(lambda ns: ns[1:]))
 
 
 def shift_up(seq: Seq) -> Seq:
@@ -321,7 +342,7 @@ def shift_up(seq: Seq) -> Seq:
             if cand.term(0) == 0:
                 return cand
     return Lazy(
-        label="shifted-up", rows=lambda d: [0] + seq.prefix(d - 1) if d else []
+        label="shifted-up", rows=lambda d: seq._nums(max(d - 1, 0)).map(lambda ns: [0, *ns])
     )
 
 
@@ -341,7 +362,7 @@ def _difference_once(seq: Seq) -> Seq:
         return FinSupp([seq.term(i + 1) - seq.term(i) for i in range(len(ts))])
     if isinstance(seq, ExpComb):
         return ExpComb([(c * (r - 1), r) for c, r in seq.pairs])
-    return Lazy(label="difference", rows=lambda d: differences(seq.prefix(d + 1)))
+    return Lazy(label="difference", rows=lambda d: seq._nums(d + 1).map(differences))
 
 
 def newton_reconstruct(seq: Seq, depth: int) -> list:
@@ -378,26 +399,26 @@ def _row_sums(op: TriOp, xs: list, depth: int) -> list:
     passes its term tuple unpadded; any other caller passes a prefix that
     covers every row's lookahead.  Rational input is summed in integers over
     one common denominator by :func:`_row_numerators`, with one division per
-    row here.
+    row here; a ``Nums`` xs gives ``Nums`` rows, undivided.
     """
     _, sums, den = _row_numerators(op, xs, depth)
-    if den is None or den == 1:
-        return sums
-    inv = Fraction(1, den)
-    return [t * inv if isinstance(t, QuadExt) else Fraction(t, den) for t in sums]
+    rows = rows_over(sums, den)
+    return rows if isinstance(xs, Nums) else rows.terms()
 
 
 def _row_numerators(op: TriOp, xs: list, depth: int) -> tuple:
     """(ns, sums, den) with xs[k] == ns[k] / den and sums[i] / den row i of op
     times xs, every ns[k] an int, when every term of xs is an int or a
-    Fraction; otherwise (list(xs), the rows themselves, None).
+    Fraction; otherwise (list(xs), the rows themselves, None).  xs may be a
+    ``Nums``.
 
     The rows come from the operator's own rule in ``rowrules.ROW_RULES``;
     else, on the integer path (over Q(√d) some rows would change type), from
     its Riordan pair's rule in ``riordan.ROWS``; else from the sums of
     ``entry(i, k) * x_k`` over the band.
     """
-    ns, den = _over_common_denominator(xs)
+    held = _over_common_denominator(xs)
+    ns, den = held.ns, held.den
     head = op.tag[0] if op.tag else None
     rule = ROW_RULES.get(head)
     if rule is None and den is not None and head:
@@ -410,18 +431,6 @@ def _row_numerators(op: TriOp, xs: list, depth: int) -> tuple:
         span, entry, n = op.band.span, op.entry, len(ns)
         sums = [sum(entry(i, k) * ns[k] for k in span(i, n)) for i in range(depth)]
     return ns, sums, den
-
-
-def _over_common_denominator(xs: list) -> tuple:
-    """(ns, den) with xs[k] == ns[k] / den and every ns[k] an int, when every
-    term is an int or a Fraction; otherwise (list(xs), None)."""
-    if not all(map(isinstance, xs, repeat((int, Fraction)))):
-        return list(xs), None
-    dens = [x.denominator for x in xs]
-    den = lcm(*dens)
-    if den == 1:
-        return [x.numerator for x in xs], den
-    return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
 
 
 def _abs_lt(x: Scalar, y: Scalar) -> bool:
@@ -492,7 +501,8 @@ def _jinv_pair(c: Scalar, r: Scalar, a: Scalar, mode: str) -> tuple:
 def _image(op: TriOp, seq: Seq) -> Lazy:
     """Lazy image of seq under an operator with finite lookahead: a prefix
     reads the input prefix once and runs the kernel."""
-    return Lazy(label=f"{op.label}·seq", rows=lambda depth: apply_finite(op, seq, depth))
+    return Lazy(label=f"{op.label}·seq",
+                rows=lambda depth: _row_sums(op, seq._nums(depth + op.band.above), depth))
 
 
 class InvarianceReport(Record):
@@ -528,7 +538,7 @@ def check_invariance(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if kind == FIRST:
-        xs, image, _ = _row_numerators(pd(), prefix(seq, depth), depth)
+        xs, image, _ = _row_numerators(pd(), seq._nums(depth), depth)
     elif isinstance(seq, FinSupp):
         ns, image, _ = _row_numerators(ptd(), seq.terms, depth)
         xs = _fit(ns, depth)

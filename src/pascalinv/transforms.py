@@ -9,10 +9,13 @@ result provably is.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import lshift
 from typing import Callable, Optional
 
 from .errors import Record, SupportCapError, UnsupportedPairError
 from .operators import lin_comb, make_operator, op_power, transpose
+from .rowrules import Nums
 from .scalars import Scalar, exact_div
 from .sequences import (
     CONTINUED,
@@ -64,11 +67,17 @@ def t42c(x: Seq) -> Seq:
         return ExpComb(out)
 
     def rows(depth):
-        # y_0 = 0, y_{n+1} = (y_n + x_n) / 2
-        out = [0] * depth
-        for n, t in enumerate(x.prefix(depth - 1) if depth else []):
-            out[n + 1] = (out[n] + t) * half
-        return out
+        # y_0 = 0, y_{n+1} = (y_n + x_n) / 2.  On numerators X_k over den, 2**n y_n
+        # is the prefix sum S_n of 2**k X_k / den, so y_n = S_n 2**(m-n) / (den 2**m)
+        m = max(depth - 1, 0)
+        f = x._nums(m)
+        if f.den is None:
+            out = [0] * depth
+            for n, t in zip(range(m), f.ns):
+                out[n + 1] = (out[n] + t) * half
+            return Nums(out, None)
+        sums = accumulate(map(lshift, f.ns, range(m)), initial=0)
+        return Nums(list(map(lshift, sums, range(m, -1, -1))), f.den << m)
 
     return Lazy(label="halved-prefix-sum", rows=rows)
 

@@ -12,12 +12,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pascalinv import sequences
+from pascalinv.eigenstructure import BASIS_MATRICES
 from pascalinv.errors import DivergentSumError, UnsupportedSequenceError
-from pascalinv.operators import pd, ptd
+from pascalinv.operators import make_operator, pd, ptd
 from pascalinv.scalars import QuadExt, scalar_cmp
 from pascalinv.sequences import (
     TAU1,
@@ -33,12 +34,16 @@ from pascalinv.sequences import (
     apply_finite,
     apply_upper,
     check_invariance,
+    difference,
     fibonacci,
     lucas,
     prefix,
     seq_add,
     seq_scale,
+    shift_down,
+    shift_up,
 )
+from pascalinv.transforms import build_psi, t42c, t42d
 
 MODES = ("continued", "classical")
 
@@ -270,12 +275,25 @@ def test_a_rational_first_kind_verdict_builds_no_fraction_per_row(monkeypatch):
     seqs = [FinSupp((Fraction(1, 2), Fraction(-2, 3), 5)), KSeq(), Bernoulli()]
     for seq in seqs:
         prefix(seq, 24)  # warm the term caches
+    prefix(AltBernoulli(), 25)
+    # images built cold: nothing of them is evaluated before the spy is on
+    seqs += [
+        ExpComb(((Fraction(2), Fraction(-1, 3)), (Fraction(2), Fraction(4, 3)))),
+        t42c(KSeq()),
+        t42d(AltBernoulli()),
+        build_psi(3, "tilde").apply(FinSupp((Fraction(1, 2), Fraction(-2, 3), 5))),
+    ]
     dens, built = _spy_kernel(monkeypatch)
     reports = [check_invariance(seq, "first", 24) for seq in seqs]
     monkeypatch.undo()
     assert built == []
-    assert len(dens) == 3 and all(isinstance(den, int) and den > 1 for den in dens)
-    assert [r.verdict for r in reports] == ["neither", "inverse-invariant", "neither"]
+    # one kernel call per verdict, and one per matrix stage of the psi image
+    assert len(dens) == len(seqs) + 2
+    assert all(isinstance(den, int) and den > 1 for den in dens)
+    assert [r.verdict for r in reports] == [
+        "neither", "inverse-invariant", "neither",
+        "invariant", "invariant", "inverse-invariant", "inverse-invariant",
+    ]
 
 
 def test_a_quadratic_first_kind_verdict_keeps_the_field_rows(monkeypatch):
@@ -284,3 +302,167 @@ def test_a_quadratic_first_kind_verdict_keeps_the_field_rows(monkeypatch):
     monkeypatch.undo()
     assert dens == [None]
     assert report.verdict == "invariant"
+
+
+# --- one integer form from term oracle to verdict ----------------------------
+# Term oracles and the package's lazy images hand a prefix on as integer
+# numerators over one denominator (``Nums``).  Each input below is checked
+# three ways: the form read back as terms, the public prefix against a
+# reference built from plain term lists, and the verdict against the one read
+# off the Fraction images.
+
+rational_exp_combs = st.lists(
+    st.tuples(rationals.filter(bool), st.one_of(st.just(0), ints, small_fractions)),
+    min_size=1, max_size=3,
+).map(lambda ps: ExpComb(tuple(ps)))
+FAMILIES = (Bernoulli(), AltBernoulli(), KSeq())
+# PD and the basis matrices; J(a) reads one term past each row, and off the
+# integers for a = 1/2
+IMAGE_OPS = [pd] + [BASIS_MATRICES[key] for key in sorted(BASIS_MATRICES)] + [
+    lambda: make_operator("J", 2), lambda: make_operator("J", Fraction(1, 2))]
+
+
+def _listed(ts):
+    return lambda d: (list(ts) + [0] * d)[:d]
+
+
+def _by_terms(seq):
+    return lambda d: [seq.term(n) for n in range(d)]
+
+
+# (seq, ref) pairs, ref(d) the first d terms from independent term lists
+bases = st.one_of(
+    rational_terms.map(lambda ts: (FinSupp(tuple(ts)), _listed(ts))),
+    rational_terms.map(lambda ts: (Lazy(rows=_listed(ts), label="rational prefix"), _listed(ts))),
+    st.one_of(rational_exp_combs, st.sampled_from(FAMILIES)).map(lambda s: (s, _by_terms(s))),
+)
+
+
+def _entry_rows(op, ref):
+    def rows(d):
+        xs = ref(d + op.band.above)
+        return [sum((op.entry(i, k) * xs[k] for k in op.band.span(i, len(xs))), 0)
+                for i in range(d)]
+    return rows
+
+
+def _halved(ref):
+    def rows(d):
+        out = [0] * d
+        for n, t in enumerate(ref(d - 1) if d else []):
+            out[n + 1] = (out[n] + t) * Fraction(1, 2)
+        return out
+    return rows
+
+
+def _next_pairs(ref):
+    # (x_n, x_{n+1}) for n < d
+    return lambda d: list(zip(ref(d + 1), ref(d + 1)[1:]))
+
+
+def _step(name, draw, s, ref):
+    """One image of s and the reference rule for its prefix."""
+    if name == "scale":
+        c = draw(rationals)
+        return seq_scale(c, s), lambda d: [c * t for t in ref(d)]
+    if name == "add":
+        other, oref = draw(bases)
+        return seq_add(s, other), lambda d: [a + b for a, b in zip(ref(d), oref(d))]
+    if name == "down":
+        return shift_down(s), lambda d: ref(d + 1)[1:]
+    if name == "up":
+        return shift_up(s), lambda d: [0] + ref(d - 1) if d else []
+    if name == "difference":
+        return difference(s), lambda d: [b - a for a, b in _next_pairs(ref)(d)]
+    if name == "image":
+        op = draw(st.sampled_from(IMAGE_OPS))()
+        return sequences._image(op, s), _entry_rows(op, ref)
+    if name == "t42c":
+        return t42c(s), _halved(ref)
+    return t42d(s), lambda d: [2 * b - a for a, b in _next_pairs(ref)(d)]
+
+
+STEPS = ("scale", "add", "down", "up", "difference", "image", "t42c", "t42d")
+
+
+@st.composite
+def image_chains(draw):
+    seq, ref = draw(bases)
+    for name in draw(st.lists(st.sampled_from(STEPS), min_size=1, max_size=3)):
+        seq, ref = _step(name, draw, seq, ref)
+    return seq, ref
+
+
+def _assert_one_form(seq, ref, depth):
+    # the verdict first, on cold images, then the form and the public prefix
+    report = check_invariance(seq, "first", depth)
+    terms = prefix(seq, depth)
+    assert terms == ref(depth)
+    assert seq._nums(depth).terms()[:depth] == terms
+    assert report == _report_from_images(seq, "first", depth, "continued")
+
+
+@settings(max_examples=300)
+@given(image_chains(), depths)
+def test_image_chains_carry_one_form_to_the_prefix_and_the_verdict(chain, depth):
+    _assert_one_form(*chain, depth)
+
+
+@pytest.mark.parametrize("op", IMAGE_OPS, ids=lambda f: f().label)
+@given(base=bases, depth=depths)
+def test_images_under_pd_and_the_basis_matrices_keep_the_form(op, base, depth):
+    seq, ref = base
+    _assert_one_form(sequences._image(op(), seq), _entry_rows(op(), ref), depth)
+
+
+def test_sums_and_multiples_over_different_denominators():
+    xs, ys, c = [Fraction(1, 2), Fraction(-2, 3), 1], [Fraction(1, 3), 5, Fraction(3, 4)], Fraction(2, 5)
+    x, y = Lazy(rows=_listed(xs), label="x"), FinSupp(tuple(ys))
+    cases = [
+        (seq_add(x, y), lambda d: [a + b for a, b in zip(_listed(xs)(d), _listed(ys)(d))]),
+        (seq_scale(c, x), lambda d: [c * a for a in _listed(xs)(d)]),
+        (seq_add(t42c(y), seq_scale(c, x)),
+         lambda d: [a + c * b for a, b in zip(_halved(_listed(ys))(d), _listed(xs)(d))]),
+    ]
+    for seq, ref in cases:
+        for depth in (1, 3, 7):
+            _assert_one_form(seq, ref, depth)
+
+
+@given(rational_exp_combs, depths)
+def test_rational_exp_combs_step_in_integers(x, depth):
+    held = x._nums(depth)
+    assert all(isinstance(n, int) for n in held.ns) and held.den > 0
+    _assert_one_form(x, _by_terms(x), depth)
+
+
+def test_rational_exp_combs_with_ratio_zero_and_int_or_negative_ratios():
+    cases = [ExpComb(((3, 0),)), ExpComb(((Fraction(1, 2), 0), (2, -3))),
+             ExpComb(((Fraction(-2, 3), Fraction(-5, 3)), (1, Fraction(8, 3)), (4, 2)))]
+    for x in cases:
+        for depth in (1, 2, 9, 30):
+            _assert_one_form(x, _by_terms(x), depth)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda s: type(s).__name__)
+def test_the_families_read_their_caches_once_per_prefix(family):
+    for depth in (1, 2, 13, 40):
+        assert prefix(family, depth) == [family.term(n) for n in range(depth)]
+        _assert_one_form(family, _by_terms(family), depth)
+
+
+def test_a_form_backed_lazy_gives_the_terms_of_its_prefix_across_cache_growth():
+    seq = t42d(t42c(KSeq()))  # lazy images of lazy images, each held as a Nums
+    for n in (0, 1, 2, 5, 3, 17, 40, 9):
+        fresh = t42d(t42c(KSeq()))
+        assert seq.term(n) == fresh.prefix(n + 1)[n] == seq.prefix(n + 1)[n]
+    assert seq.prefix(41) == t42d(t42c(KSeq())).prefix(41)
+
+
+def test_a_lazy_whose_rows_return_a_list_keeps_its_terms():
+    listed = Lazy(rows=lambda d: [Fraction(k) if k % 2 else k for k in range(d)], label="listed")
+    got = listed.prefix(6)
+    assert got == list(range(6)) and [type(t) for t in got] == [int, Fraction] * 3
+    assert type(listed.term(3)) is Fraction and type(listed.term(4)) is int
+    assert prefix(seq_scale(2, listed), 6) == [2 * k for k in range(6)]
+    assert check_invariance(listed, "first", 6) == _report_from_images(listed, "first", 6, "continued")

@@ -120,6 +120,19 @@ def test_reduce_cancels_a_common_factor_exactly():
         assert riordan._reduce(tuple(-c for c in num), tuple(-c for c in den)) == want
 
 
+def test_division_by_a_degree_one_denominator_is_the_series_quotient():
+    # (lead, c) with lead = ±1 takes one running accumulate; 1 - z its plain prefix sum
+    rng = random.Random("over")
+    dens = [(1, -1), (1, 1), (-1, 1), (-1, -1), (1, -32), (-1, 5), (1, 0)]
+    for den in dens:
+        for length in (0, 1, 2, 7, 20):
+            xs = [rng.randint(-9, 9) for _ in range(length)]
+            out = riordan._over(list(xs), den)
+            assert len(out) == length and all(isinstance(v, int) for v in out)
+            if length:
+                assert list(_poly_mul(out, den)[:length]) == xs, (den, xs)
+
+
 def test_a_factor_outside_the_table_has_no_pair():
     p = make_operator("P")
     assert riordan.pair(make_operator("PT")) is None
