@@ -28,12 +28,13 @@ _RATIONAL = (int, Fraction)
 class Nums:
     """Terms ``ns[k] / den``, every ns[k] an int and den a positive int; or,
     with ``den`` None, the terms themselves in ns (some term is not rational).
-    It is not a list, so code that takes it for a prefix fails at once."""
+    ``terms``, when given, are those terms as a caller holds them, with their
+    types.  It is not a list, so code that takes it for a prefix fails at once."""
 
     __slots__ = ("ns", "den", "_terms")
 
-    def __init__(self, ns: list, den):
-        self.ns, self.den, self._terms = ns, den, None
+    def __init__(self, ns: list, den, terms: Optional[list] = None):
+        self.ns, self.den, self._terms = ns, den, terms
 
     def __len__(self):
         return len(self.ns)
@@ -71,10 +72,15 @@ def _over_common_denominator(xs) -> Nums:
 
 
 def rows_over(sums: list, den) -> Nums:
-    """The form of rows ``sums[i] / den`` from a rule: off the integers (entry
-    sums, ``J(a)^-1``), the rows divided as ``_row_sums`` returns them."""
+    """The form of rows ``sums[i] / den`` from a rule.  Rational sums off the
+    integers (entry sums with Fraction entries, ``J(a)^-1``) are put over their
+    own common denominator times den; when some row lies in Q(√d), the rows
+    are divided as ``_row_sums`` returns them."""
     if den is None or all(map(isinstance, sums, repeat(int))):
         return Nums(sums, den)
+    held = _over_common_denominator(sums)
+    if held.den is not None:
+        return Nums(held.ns, held.den, sums) if den == 1 else Nums(held.ns, held.den * den)
     if den != 1:
         inv = Fraction(1, den)
         sums = [t * inv if isinstance(t, QuadExt) else Fraction(t, den) for t in sums]
@@ -164,10 +170,44 @@ def _fit(xs: list, n: int) -> list:
 
 
 def _pd_rows(xs: list, depth: int) -> list:
-    # row n is sum_k C(n, k) (-1)**k x_k = (-1)**n Δ^n x_0, off the difference
-    # table with subtractions only
-    heads = difference_heads(_fit(xs, depth))
-    heads[1::2] = map(neg, heads[1::2])
+    # row n is sum_k C(n, k) (-1)**k x_k = (-1)**n Δ^n x_0, the head of row n
+    # of the table of negated differences x_k - x_{k+1}
+    row = _fit(xs, depth)
+    if depth >= 16 and all(map(isinstance, row, repeat(int))):
+        # bytes a slot of the packed table takes (see _packed_pd_rows); below
+        # 16 rows or past 40 bytes, three passes over the packed row cost more
+        # than the entry-by-entry subtractions they save
+        w = (max(map(abs, row)).bit_length() + depth) // 8 + 1
+        if w <= 40:
+            return _packed_pd_rows(row, w)
+    heads = []
+    while row:
+        heads.append(row[0])
+        row = list(map(sub, row, row[1:]))
+    return heads
+
+
+def _packed_pd_rows(row: list, w: int) -> list:
+    """The heads of the same table for an int row, each row of the table packed
+    into one int: slot k, s = 8w bits wide, holds entry k plus c = 2**(s-1).
+    An entry of table row n is below 2**(m+n) in absolute value for
+    |x_k| < 2**m, so with s >= m + len(row) every entry plus c lies in [0, 2c)
+    and the next row is one shift and two additions:
+    p + c·(1 + 2**s + ...) - (p >> s).  What grows from the top slot of each
+    row sits above the exact slots and only carries upward; it is cut off
+    every 8 rows."""
+    depth = len(row)
+    s = 8 * w
+    c, mask = 1 << (s - 1), (1 << s) - 1
+    p = int.from_bytes(b"".join([(x + c).to_bytes(w, "little") for x in row]), "little")
+    cs = int.from_bytes(c.to_bytes(w, "little") * depth, "little")
+    heads = []
+    for n in range(depth):
+        if n % 8 == 0:  # keep the exact slots 0..depth-1-n
+            low = (1 << s * (depth - n)) - 1
+            p, cs = p & low, cs & low
+        heads.append((p & mask) - c)
+        p += cs - (p >> s)
     return heads
 
 

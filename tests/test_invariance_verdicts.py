@@ -283,6 +283,11 @@ def test_a_rational_first_kind_verdict_builds_no_fraction_per_row(monkeypatch):
         t42d(AltBernoulli()),
         build_psi(3, "tilde").apply(FinSupp((Fraction(1, 2), Fraction(-2, 3), 5))),
     ]
+    # J(1/2) sums its rows with the entry 1/2, one Fraction per row: its prefix
+    # is built before the spy, and the verdict must read it in integer form
+    half = sequences._image(make_operator("J", Fraction(1, 2)), KSeq())
+    prefix(half, 24)
+    seqs.append(half)
     dens, built = _spy_kernel(monkeypatch)
     reports = [check_invariance(seq, "first", 24) for seq in seqs]
     monkeypatch.undo()
@@ -292,7 +297,7 @@ def test_a_rational_first_kind_verdict_builds_no_fraction_per_row(monkeypatch):
     assert all(isinstance(den, int) and den > 1 for den in dens)
     assert [r.verdict for r in reports] == [
         "neither", "inverse-invariant", "neither",
-        "invariant", "invariant", "inverse-invariant", "inverse-invariant",
+        "invariant", "invariant", "inverse-invariant", "inverse-invariant", "neither",
     ]
 
 

@@ -5,13 +5,14 @@ against its pair."""
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
 from pascalinv import riordan
 from pascalinv.eigenstructure import ptdown, qdown, qtdown00, zero_top_pdown
 from pascalinv.operators import DenseMat, TriOp, compose, make_operator, op_power, pd, truncate
-from pascalinv.rowrules import ROW_RULES, _pd_rows
+from pascalinv.rowrules import ROW_RULES, _packed_pd_rows, _pd_rows
 from pascalinv.scalars import QuadExt
 
 TABLE_OPS = {
@@ -199,3 +200,26 @@ def test_pd_rows_agree_on_short_and_full_prefixes(field):
         assert [type(t) for t in short] == [type(t) for t in full], (xs, depth)
         entry = pd().entry
         assert short == [sum(entry(i, k) * x for k, x in enumerate(xs)) for i in range(depth)]
+
+
+def test_packed_pd_rows_hold_the_largest_table_entries():
+    # int rows of 16 rows or more and slots up to 40 bytes (m = 320 passes
+    # them) take the packed table, sized for |Δ^n x_k| < 2**(m+n); an
+    # alternating row of the largest entries reaches ±2**n max|x| at its head,
+    # and the slots are cut every 8 rows.  The packed table is also run alone,
+    # at the narrowest slots its bound allows.
+    rng = random.Random("packed")
+    rows = [[sign * (-1) ** k * (2**m - 1) for k in range(d)]
+            for m in (1, 7, 8, 64, 200) for d in (1, 7, 8, 9, 17, 56) for sign in (1, -1)]
+    rows += [[rng.choice((-(2**m), 2**m - 1, 0, rng.randint(-(2**m), 2**m)))
+              for _ in range(rng.randint(0, 70))] for m in (1, 8, 30, 64, 207, 320) for _ in range(8)]
+    for xs in rows:
+        for depth in {0, len(xs), len(xs) + 3, max(len(xs) - 5, 0)}:
+            want = [sum(comb(n, k) * (-1) ** k * x for k, x in enumerate(xs[: n + 1]))
+                    for n in range(depth)]
+            got = _pd_rows(xs, depth)
+            assert got == want, (xs, depth)
+            assert all(type(t) is int for t in got)
+            row = (xs + [0] * depth)[:depth]
+            m = max(map(abs, row), default=0).bit_length()
+            assert _packed_pd_rows(row, -(-(m + depth) // 8) or 1) == want, (xs, depth)

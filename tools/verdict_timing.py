@@ -2,16 +2,16 @@
 
 Run from the repository root:
 
-    python3 tools/verdict_timing.py [BASE] [--rounds N] [--calls K]
+    python3 tools/verdict_timing.py [BASE] [--rounds N]
 
 The package is loaded from this checkout's ``src``.  When BASE names another
 checkout (a directory with ``src/pascalinv``), that copy is loaded too, under
 another module name, in the same process.  For each case and depth, each
-round builds K fresh inputs per tree (cold lazy images; the Bernoulli and K
+round builds CALLS fresh inputs per tree (cold lazy images; the Bernoulli and K
 caches are warmed once beforehand) and times ``check_invariance(x, "first",
 d)`` on them, the trees taking turns.  The table gives the minimum over N
-rounds in µs per call, and base/checkout when BASE is given.  Every tree
-must give each input the same report; the script exits 1 otherwise.
+rounds in µs per call, and base/checkout when BASE is given.  Both trees
+must then give each input the same report; the script exits 1 otherwise.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 DEPTHS = (24, 40, 56)
+CALLS = 20  # fresh inputs per tree, case, depth and round
 
 
 def load(src: Path, name: str):
@@ -55,19 +56,18 @@ def cases(pv):
     }
 
 
-def per_call_us(pv, build, depth: int, calls: int) -> tuple:
-    """(µs per verdict, the first report) over ``calls`` freshly built inputs."""
-    xs = [build() for _ in range(calls)]
+def per_call_us(pv, build, depth: int) -> tuple:
+    """(µs per verdict, the first report) over CALLS freshly built inputs."""
+    xs = [build() for _ in range(CALLS)]
     t0 = perf_counter()
     reports = [pv.check_invariance(x, "first", depth) for x in xs]
-    return (perf_counter() - t0) / calls * 1e6, reports[0]
+    return (perf_counter() - t0) / CALLS * 1e6, reports[0]
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", nargs="?", type=Path, help="another checkout to time against")
     ap.add_argument("--rounds", type=int, default=30)
-    ap.add_argument("--calls", type=int, default=20)
     args = ap.parse_args(argv)
     trees = {"checkout": load(ROOT / "src", "pascalinv_checkout")}
     if args.base is not None:
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
             best, reports = {}, {}
             for _ in range(args.rounds):
                 for label, pv in trees.items():
-                    us, reports[label] = per_call_us(pv, built[label][case], depth, args.calls)
+                    us, reports[label] = per_call_us(pv, built[label][case], depth)
                     best[label] = min(us, best.get(label, us))
             if len({repr(r) for r in reports.values()}) != 1:
                 print(f"reports differ on {case} at d={depth}: {reports}", file=sys.stderr)
