@@ -4,13 +4,12 @@
 ``rule(xs, depth, *params)`` that returns rows 0..depth-1 of the operator
 times the sequence whose prefix is xs (terms past its end read as zero),
 over any field, with the values and types of the entry sums
-``sum_k entry(i, k) * x_k``.  A Riordan array with no rule here takes the
-rule of its pair, ``riordan.ROWS``, on integer prefixes.
+``sum_k entry(i, k) * x_k``, or as a ``Nums``.  A Riordan array with no rule
+here takes the rule of its pair, ``riordan.ROWS``, on integer prefixes.
 
-``Nums`` is the one internal form of a prefix on its way from a term oracle
-to a verdict: integer numerators over one common denominator, or the terms
-themselves when some term lies in Q(√d).  The helpers below build it and
-step it through the package's lazy images without a ``Fraction`` per term.
+``Nums`` is the one internal form of a prefix, from a term oracle or a
+``FinSupp`` to a verdict; the helpers below step it through the package's
+images without a ``Fraction`` per term.
 """
 from __future__ import annotations
 
@@ -72,10 +71,12 @@ def _over_common_denominator(xs) -> Nums:
 
 
 def rows_over(sums: list, den) -> Nums:
-    """The form of rows ``sums[i] / den`` from a rule.  Rational sums off the
-    integers (entry sums with Fraction entries, ``J(a)^-1``) are put over their
-    own common denominator times den; when some row lies in Q(√d), the rows
-    are divided as ``_row_sums`` returns them."""
+    """The form of rows ``sums[i] / den`` from a rule: over their own
+    denominator times den when the sums are a ``Nums`` or are rational off
+    the integers (entry sums with Fraction entries); divided, as
+    ``_row_sums`` returns them, when some row lies in Q(√d)."""
+    if isinstance(sums, Nums):
+        return Nums(sums.ns, sums.den * den)
     if den is None or all(map(isinstance, sums, repeat(int))):
         return Nums(sums, den)
     held = _over_common_denominator(sums)
@@ -223,10 +224,18 @@ def _ptd_rows(xs: list, depth: int) -> list:
     return sums
 
 
-def _jinv_rows(xs: list, depth: int, a: Scalar) -> list:
+def _jinv_rows(xs: list, depth: int, a: Scalar):
     # back-substitution in J(a) y = x: y_i = (x_i - y_{i+1}) / a, zero from len(xs) on
-    ys = [0] * (max(depth, len(xs)) + 1)
-    for i in range(len(xs) - 1, -1, -1):
+    n = len(xs)
+    ys = [0] * (max(depth, n) + 1)
+    if depth <= n and isinstance(a, _RATIONAL) and all(map(isinstance, xs, repeat(int))):
+        # a = p/q: y_i = z_i / t, t = |p|**n, z_i = q (x_i t - z_{i+1}) / p
+        p, q = a.numerator, a.denominator
+        t = abs(p) ** n
+        for i in range(n - 1, -1, -1):
+            ys[i] = q * (xs[i] * t - ys[i + 1]) // p
+        return Nums(ys[:depth], t)
+    for i in range(n - 1, -1, -1):
         ys[i] = exact_div(xs[i] - ys[i + 1], a)
     return ys[:depth]
 

@@ -2,7 +2,7 @@
 
 Sequence classes
 ----------------
-``FinSupp``      finitely supported, stored as a term tuple.
+``FinSupp``      finitely supported, stored as a ``Nums`` or a term tuple.
 ``ExpComb``      finite combination sum_j c_j * r_j**n of geometric sequences,
                  with coefficients and ratios rational or quadratic-irrational.
 ``Bernoulli``    the Bernoulli numbers (B1 = -1/2 convention).
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
+from math import gcd
 from operator import neg
 from typing import Callable, Optional
 
@@ -54,6 +55,7 @@ VERDICT_OF_SIGN = {1: INVARIANT, -1: INVERSE_INVARIANT}
 TAU1 = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
 TAU2 = QuadExt(Fraction(1, 2), Fraction(-1, 2), 5)
 INV_SQRT5 = QuadExt(0, Fraction(1, 5), 5)
+_HALF = Fraction(1, 2)
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 _BERNOULLI_LOCK = threading.Lock()
@@ -131,14 +133,36 @@ class Seq:
 
 
 class FinSupp(Seq, Record):
+    """Terms ``terms``, zero from ``support_bound`` on.  The package computes
+    on ``_held``, the terms as a ``Nums``, and gives its images only that
+    form; their terms, ints if all are integers, are made when read."""
+
     _fields = ("terms",)
 
     def __init__(self, terms=()):
-        ts = tuple(terms)
+        held = isinstance(terms, Nums)
+        ts = terms.ns if held else tuple(terms)
         n = len(ts)
         while n and ts[n - 1] == 0:
             n -= 1
-        vars(self).update(terms=ts[:n])
+        if held:
+            ns, den = ts[:n], terms.den
+            g = gcd(den, *ns) if den else 1
+            vars(self)["_held"] = Nums([x // g for x in ns], den // g) if g > 1 else Nums(ns, den)
+        else:
+            vars(self)["terms"] = ts[:n]
+        vars(self)["support_bound"] = n
+
+    terms = cached_property(lambda self: tuple(self._held.terms()))
+    _held = cached_property(lambda self: _over_common_denominator(self.terms))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        f, g = self._held, other._held
+        return (f.ns, f.den) == (g.ns, g.den) if f.den and g.den else self.terms == other.terms
+
+    __hash__ = Record.__hash__
 
     def term(self, n):
         if n < 0:
@@ -146,13 +170,12 @@ class FinSupp(Seq, Record):
         return self.terms[n] if n < len(self.terms) else 0
 
     def _prefix(self, depth):
-        ts = self.terms
-        return list(ts[:depth]) + [0] * (depth - len(ts))
+        return _fit(list(self.terms), depth)
 
-    @property
-    def support_bound(self) -> int:
-        """Smallest s with term(n) = 0 for all n >= s."""
-        return len(self.terms)
+    def _nums(self, depth):  # a cut prefix goes over its own denominator
+        if self.support_bound > depth:
+            return super()._nums(depth)
+        return self._held.map(lambda ns: _fit(ns, depth))
 
 
 def unit(j: int) -> FinSupp:
@@ -221,10 +244,11 @@ class AltBernoulli(Seq, Record):
     def term(self, n):
         return (-1) ** n * bernoulli_number(n)
 
-    def _nums(self, depth):
-        held = _over_common_denominator(_cached(_BERNOULLI, bernoulli_number, depth))
-        held.ns[1:2] = map(neg, held.ns[1:2])  # B_n = 0 at every other odd n
-        return held
+    def _prefix(self, depth):
+        # (-1)**n B_n = B_n but at n = 1, as B_n = 0 at every other odd n
+        ts = _cached(_BERNOULLI, bernoulli_number, depth)
+        ts[1:2] = [_HALF] * (depth > 1)
+        return ts
 
 
 class KSeq(Seq, Record):
@@ -238,12 +262,12 @@ class KSeq(Seq, Record):
 class Lazy(Seq, Record):
     """An exact sequence given by a term oracle or by a prefix rule.
 
-    Give exactly one of ``oracle(n)``, one term, or ``rows(depth)``, the list
-    of terms 0..depth-1 at once.  Images built by this package give ``rows``
-    returning a ``rowrules.Nums`` (made terms once), so a prefix reads each
-    input term once.  Compares by identity and keeps the longest
-    prefix computed so far, its only cache: ``term(n)`` past that prefix
-    calls the oracle again, while a prefix computes each term once.
+    Give exactly one of ``oracle(n)``, one term, or ``rows(depth)``, terms
+    0..depth-1 at once; the package's images give ``rows`` returning a
+    ``rowrules.Nums`` that reads each input term once.  Compares by identity
+    and keeps the longest prefix computed so far, its only cache:
+    ``term(n)`` past it calls the oracle again, while a prefix computes each
+    term once.
     """
 
     _fields = ("label",)  # shown by repr; equality is identity
@@ -306,7 +330,7 @@ def seq_scale(c: Scalar, seq: Seq) -> Seq:
     if c == 0:
         return FinSupp(())
     if isinstance(seq, FinSupp):
-        return FinSupp([c * t for t in seq.terms])
+        return FinSupp(scaled(c, seq._held))
     if isinstance(seq, ExpComb):
         return ExpComb([(c * cc, r) for cc, r in seq.pairs])
     return Lazy(label="scaled", rows=lambda d: scaled(c, seq._nums(d)))
@@ -314,8 +338,8 @@ def seq_scale(c: Scalar, seq: Seq) -> Seq:
 
 def seq_add(x: Seq, y: Seq) -> Seq:
     if isinstance(x, FinSupp) and isinstance(y, FinSupp):
-        n = max(len(x.terms), len(y.terms))
-        return FinSupp([x.term(i) + y.term(i) for i in range(n)])
+        n = max(x.support_bound, y.support_bound)
+        return FinSupp(added(x._nums(n), y._nums(n)))
     if isinstance(x, ExpComb) and isinstance(y, ExpComb):
         return ExpComb(x.pairs + y.pairs)
     return Lazy(label="sum", rows=lambda d: added(x._nums(d), y._nums(d)))
@@ -324,7 +348,7 @@ def seq_add(x: Seq, y: Seq) -> Seq:
 def shift_down(seq: Seq) -> Seq:
     """Drop the head: term'(n) = term(n + 1)."""
     if isinstance(seq, FinSupp):
-        return FinSupp(seq.terms[1:])
+        return FinSupp(seq._held.map(lambda ns: ns[1:]))
     if isinstance(seq, ExpComb):
         return ExpComb([(c * r, r) for c, r in seq.pairs])
     return Lazy(label="shifted-down", rows=lambda d: seq._nums(d + 1).map(lambda ns: ns[1:]))
@@ -333,7 +357,7 @@ def shift_down(seq: Seq) -> Seq:
 def shift_up(seq: Seq) -> Seq:
     """Prepend a zero: term'(0) = 0, term'(n) = term(n - 1)."""
     if isinstance(seq, FinSupp):
-        return FinSupp((0,) + seq.terms)
+        return FinSupp(seq._held.map(lambda ns: [0, *ns]))
     if isinstance(seq, ExpComb):
         # (c/r, r) is exact for n >= 1; it extends to n = 0 only when the
         # candidate value at 0 vanishes, otherwise fall back to a prefix rule
@@ -358,8 +382,7 @@ def difference(seq: Seq, k: int = 1) -> Seq:
 
 def _difference_once(seq: Seq) -> Seq:
     if isinstance(seq, FinSupp):
-        ts = seq.terms
-        return FinSupp([seq.term(i + 1) - seq.term(i) for i in range(len(ts))])
+        return FinSupp(seq._held.map(lambda ns: differences(ns + [0])))
     if isinstance(seq, ExpComb):
         return ExpComb([(c * (r - 1), r) for c, r in seq.pairs])
     return Lazy(label="difference", rows=lambda d: seq._nums(d + 1).map(differences))
@@ -387,36 +410,27 @@ def apply_finite(op: TriOp, seq: Seq, depth: int) -> list:
     if not depth:
         return []
     need = depth + op.band.above
-    # stored terms suffice: _row_sums reads terms past their end as zero
-    xs = seq.terms[:need] if isinstance(seq, FinSupp) else seq.prefix(need)
-    return _row_sums(op, xs, depth)
+    held = isinstance(seq, FinSupp) and seq.support_bound <= need
+    return terms_of(_row_sums(op, seq._held if held else seq.prefix(need), depth))
 
 
 def _row_sums(op: TriOp, xs: list, depth: int) -> list:
-    """Rows 0..depth-1 of op times the sequence whose prefix is xs.
-
-    Terms past the end of xs read as zero, so a finitely supported sequence
-    passes its term tuple unpadded; any other caller passes a prefix that
-    covers every row's lookahead.  Rational input is summed in integers over
-    one common denominator by :func:`_row_numerators`, with one division per
-    row here; a ``Nums`` xs gives ``Nums`` rows, undivided.
-    """
+    """Rows 0..depth-1 of op times the sequence whose prefix is xs, terms
+    past its end read as zero.  Rational input is summed in integers by
+    :func:`_row_numerators`, with one division per row here; a ``Nums`` xs
+    gives ``Nums`` rows, undivided."""
     _, sums, den = _row_numerators(op, xs, depth)
     rows = rows_over(sums, den)
     return rows if isinstance(xs, Nums) else rows.terms()
 
 
 def _row_numerators(op: TriOp, xs: list, depth: int) -> tuple:
-    """(ns, sums, den) with xs[k] == ns[k] / den and sums[i] / den row i of op
-    times xs, every ns[k] an int, when every term of xs is an int or a
-    Fraction; otherwise (list(xs), the rows themselves, None).  xs may be a
-    ``Nums``.
-
-    The rows come from the operator's own rule in ``rowrules.ROW_RULES``;
-    else, on the integer path (over Q(√d) some rows would change type), from
-    its Riordan pair's rule in ``riordan.ROWS``; else from the sums of
-    ``entry(i, k) * x_k`` over the band.
-    """
+    """(ns, sums, den): xs[k] == ns[k] / den and row i of op times xs is
+    sums[i] / den (see ``rowrules.rows_over``), ints when xs (maybe a
+    ``Nums``) is rational; else (terms, rows, None).  The rows come from
+    the operator's rule in ``rowrules.ROW_RULES``; else, on the integer path
+    (over Q(√d) some rows would change type), from its Riordan pair's in
+    ``riordan.ROWS``; else from the entry sums over the band."""
     held = _over_common_denominator(xs)
     ns, den = held.ns, held.den
     head = op.tag[0] if op.tag else None
@@ -449,7 +463,7 @@ def apply_upper(op: TriOp, seq: Seq, mode: str = CONTINUED) -> Seq:
     require_mode(mode)
     band = op.band
     if isinstance(seq, FinSupp) and band.below is not None:
-        return FinSupp(_row_sums(op, seq.terms, seq.support_bound + band.below))
+        return FinSupp(_row_sums(op, seq._held, seq.support_bound + band.below))
     if band.above is not None:
         return _image(op, seq)
     if isinstance(seq, FinSupp):
@@ -526,11 +540,11 @@ def check_invariance(
 
     First-kind checks apply the signed Pascal involution row by row (exact for
     every sequence class); second-kind checks apply its transpose, which needs
-    finitely supported or geometric input.  Rational terms (for a second-kind
-    ``FinSupp``, all its stored terms, which the upper rows read) are compared
-    with the rows as integer numerators over one common denominator, with no
-    ``Fraction`` per row.  A verdict of neither reports as ``first_failure``
-    the first index by which both comparisons have failed.
+    finitely supported or geometric input.  Rational terms (all of a
+    ``FinSupp``'s, for the upper rows) are compared with the rows as integer
+    numerators over one denominator, with no ``Fraction`` per row.  A verdict
+    of neither reports as ``first_failure`` the first index by which both
+    comparisons have failed.
     """
     if kind not in (FIRST, SECOND):
         raise ValueError(f"unknown kind: {kind!r}")
@@ -540,7 +554,7 @@ def check_invariance(
     if kind == FIRST:
         xs, image, _ = _row_numerators(pd(), seq._nums(depth), depth)
     elif isinstance(seq, FinSupp):
-        ns, image, _ = _row_numerators(ptd(), seq.terms, depth)
+        ns, image, _ = _row_numerators(ptd(), seq._held, depth)
         xs = _fit(ns, depth)
     elif isinstance(seq, ExpComb):
         xs, image = prefix(seq, depth), apply_upper(ptd(), seq, mode).prefix(depth)

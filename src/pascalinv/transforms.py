@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import lshift
+from operator import lshift, mul
 from typing import Callable, Optional
 
 from .errors import Record, SupportCapError, UnsupportedPairError
@@ -171,7 +171,7 @@ def _matrix_stage(name, sets, finsupp_rows=None) -> Stage:
 
     def run(seq, mode):
         if isinstance(seq, FinSupp) and finsupp_rows is not None:
-            return FinSupp(_row_sums(op, seq.terms, finsupp_rows(seq.support_bound)))
+            return FinSupp(_row_sums(op, seq._held, finsupp_rows(seq.support_bound)))
         return _image(op, seq)
 
     return Stage(name, run, sets=sets)
@@ -295,6 +295,11 @@ def orthogonality(x: Seq, y: Seq, depth: int = 32) -> Scalar:
     Needs one finitely supported operand, or two geometric combinations whose
     pairwise ratio products stay inside the unit disc (classical closed form).
     """
+    if isinstance(x, FinSupp) and isinstance(y, FinSupp):
+        f, g = x._held, y._held
+        if f.den and g.den:  # on integer numerators, one division
+            s = sum(map(mul, f.ns[::2], g.ns[::2])) - sum(map(mul, f.ns[1::2], g.ns[1::2]))
+            return s if f.den * g.den == 1 else Fraction(s, f.den * g.den)
     if isinstance(y, FinSupp):
         xs = x.prefix(y.support_bound)
         return sum(xs[n] * (-1) ** n * t for n, t in enumerate(y.terms))
@@ -337,9 +342,9 @@ def converse_check(y: Seq, base: str, depth: int) -> bool:
     if not isinstance(y, FinSupp) or y.support_bound == 0:
         raise ValueError("y must be finitely supported and nonzero")
     factory, _, _ = _POWER_BASES[base]
-    signed = [(-1) ** n * t for n, t in enumerate(y.terms)]
+    signed = y._held.map(lambda ns: [(-1) ** n * t for n, t in enumerate(ns)])
     # entry i is the dot of column i of the base with the signed terms of y
-    if any(_row_sums(transpose(factory()), signed, depth)):
+    if any(_row_sums(transpose(factory()), signed, depth).ns):
         return True  # hypothesis fails: vacuously true
     kind, sign = _CONVERSE_CLASSES[base]
     # a check shorter than the support of y would not see all of it

@@ -338,6 +338,23 @@ def test_bernoulli_and_k_values():
     assert k_number(12) == Fraction(41, 2310)
 
 
+@pytest.mark.parametrize("cls", [Bernoulli, AltBernoulli, KSeq])
+def test_cached_family_prefixes_read_the_cache_once(cls, monkeypatch):
+    """A prefix of the Bernoulli family fills its cache once, with the values
+    and types of the term oracle."""
+    seq = cls()
+    want = [seq.term(n) for n in range(40)]
+    calls = Counter()
+    for name in ("bernoulli_number", "k_number"):
+        fill = getattr(sequences, name)
+        monkeypatch.setattr(sequences, name, lambda n, f=fill, k=name: calls.update([k]) or f(n))
+    got = seq.prefix(40)
+    monkeypatch.undo()
+    assert got == want and [type(v) for v in got] == [type(v) for v in want]
+    assert sum(calls.values()) == 1
+    assert seq.prefix(0) == []
+
+
 def akiyama_tanigawa(n):
     """B_0..B_n by the Akiyama–Tanigawa algorithm, which takes B_1 = +1/2."""
     row, out = [], []

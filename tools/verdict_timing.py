@@ -1,4 +1,4 @@
-"""Time first-kind invariance verdicts per call, optionally against a second tree.
+"""Time invariance verdicts per call, optionally against a second tree.
 
 Run from the repository root:
 
@@ -8,10 +8,14 @@ The package is loaded from this checkout's ``src``.  When BASE names another
 checkout (a directory with ``src/pascalinv``), that copy is loaded too, under
 another module name, in the same process.  For each case and depth, each
 round builds CALLS fresh inputs per tree (cold lazy images; the Bernoulli and K
-caches are warmed once beforehand) and times ``check_invariance(x, "first",
-d)`` on them, the trees taking turns.  The table gives the minimum over N
-rounds in µs per call, and base/checkout when BASE is given.  Both trees
-must then give each input the same report; the script exits 1 otherwise.
+caches are warmed once beforehand) and times the case's judgement of them,
+the trees taking turns: ``check_invariance(x, "first", d)`` for most cases;
+for the finitely supported second-kind cases, ``PTD·(PTD·x) == x`` on a
+rational x of d/8 terms, and the ``phitilde(3)`` image of a 5-term rational
+x built and given its second-kind verdict inside the timed call.  The table
+gives the minimum over N rounds in µs per call, and base/checkout when BASE
+is given.  Both trees must then give each input the same result; the script
+exits 1 otherwise.
 """
 from __future__ import annotations
 
@@ -41,27 +45,48 @@ def load(src: Path, name: str):
 
 
 def cases(pv):
-    """Case name -> a builder of a fresh input, through the public API."""
+    """Case name -> (build, judge): build(d) makes a fresh input through the
+    public API, untimed, and judge(x, d) is the timed call."""
     transforms = importlib.import_module(pv.__name__ + ".transforms")
     geom = ((Fraction(2), Fraction(-1, 3)), (Fraction(2), Fraction(4, 3)))
     finsupp = (Fraction(1, 2), Fraction(-2, 3), 5)
+    ptd = pv.ptd()
+
+    def first(build):
+        return lambda d: build(), lambda x, d: pv.check_invariance(x, "first", d)
+
+    def ptd_twice(x, d):
+        return pv.apply_upper(ptd, pv.apply_upper(ptd, x)) == x
+
+    def phitilde3(x, d):
+        return pv.check_invariance(transforms.build_phi(3, "tilde").apply(x), "second", d)
+
     return {
-        "ExpComb 2(-1/3)^n+2(4/3)^n": lambda: pv.ExpComb(geom),
-        "t42c(KSeq())": lambda: transforms.t42c(pv.KSeq()),
-        "t42d(AltBernoulli())": lambda: transforms.t42d(pv.AltBernoulli()),
-        "KSeq()": pv.KSeq,
-        "psitilde(3) of a FinSupp": lambda: transforms.build_psi(3, "tilde").apply(
-            pv.FinSupp(finsupp)
+        "ExpComb 2(-1/3)^n+2(4/3)^n": first(lambda: pv.ExpComb(geom)),
+        "t42c(KSeq())": first(lambda: transforms.t42c(pv.KSeq())),
+        "t42d(AltBernoulli())": first(lambda: transforms.t42d(pv.AltBernoulli())),
+        "KSeq()": first(pv.KSeq),
+        "psitilde(3) of a FinSupp": first(
+            lambda: transforms.build_psi(3, "tilde").apply(pv.FinSupp(finsupp))
+        ),
+        "PTD twice on a d/8-term FinSupp": (
+            lambda d: pv.FinSupp([Fraction((-1) ** k * (k + 2), k % 3 + 1) for k in range(d // 8)]),
+            ptd_twice,
+        ),
+        "phitilde(3) of a FinSupp, second kind": (
+            lambda d: pv.FinSupp(finsupp + (Fraction(-1, 6), Fraction(3, 4))),
+            phitilde3,
         ),
     }
 
 
-def per_call_us(pv, build, depth: int) -> tuple:
-    """(µs per verdict, the first report) over CALLS freshly built inputs."""
-    xs = [build() for _ in range(CALLS)]
+def per_call_us(case, depth: int) -> tuple:
+    """(µs per call, the first result) over CALLS freshly built inputs."""
+    build, judge = case
+    xs = [build(depth) for _ in range(CALLS)]
     t0 = perf_counter()
-    reports = [pv.check_invariance(x, "first", depth) for x in xs]
-    return (perf_counter() - t0) / CALLS * 1e6, reports[0]
+    results = [judge(x, depth) for x in xs]
+    return (perf_counter() - t0) / CALLS * 1e6, results[0]
 
 
 def main(argv=None) -> int:
@@ -80,13 +105,13 @@ def main(argv=None) -> int:
     status = 0
     for case in built["checkout"]:
         for depth in DEPTHS:
-            best, reports = {}, {}
+            best, results = {}, {}
             for _ in range(args.rounds):
-                for label, pv in trees.items():
-                    us, reports[label] = per_call_us(pv, built[label][case], depth)
+                for label in trees:
+                    us, results[label] = per_call_us(built[label][case], depth)
                     best[label] = min(us, best.get(label, us))
-            if len({repr(r) for r in reports.values()}) != 1:
-                print(f"reports differ on {case} at d={depth}: {reports}", file=sys.stderr)
+            if len({repr(r) for r in results.values()}) != 1:
+                print(f"results differ on {case} at d={depth}: {results}", file=sys.stderr)
                 status = 1
             row = [case, str(depth)] + [f"{best[label]:.1f}" for label in trees]
             if len(trees) == 2:
