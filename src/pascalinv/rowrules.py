@@ -61,6 +61,8 @@ def _over_common_denominator(xs) -> Nums:
     denominator, when every term is an int or a Fraction, or ``Nums(list(xs), None)``."""
     if isinstance(xs, Nums):
         return xs
+    if all(map(isinstance, xs, repeat(int))):
+        return Nums(list(xs), 1)
     if not all(map(isinstance, xs, repeat(_RATIONAL))):
         return Nums(list(xs), None)
     dens = [x.denominator for x in xs]

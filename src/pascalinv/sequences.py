@@ -134,8 +134,7 @@ class Seq:
 
 class FinSupp(Seq, Record):
     """Terms ``terms``, zero from ``support_bound`` on.  The package computes
-    on ``_held``, the terms as a ``Nums``, and gives its images only that
-    form; their terms, ints if all are integers, are made when read."""
+    on ``_held``, their ``Nums``; its images get only that form."""
 
     _fields = ("terms",)
 
@@ -172,7 +171,7 @@ class FinSupp(Seq, Record):
     def _prefix(self, depth):
         return _fit(list(self.terms), depth)
 
-    def _nums(self, depth):  # a cut prefix goes over its own denominator
+    def _nums(self, depth):  # a cut prefix takes its own denominator
         if self.support_bound > depth:
             return super()._nums(depth)
         return self._held.map(lambda ns: _fit(ns, depth))

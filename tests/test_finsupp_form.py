@@ -58,9 +58,11 @@ def _stripped(ts):
 
 
 def _matches(got, want):
-    """got is a FinSupp with the values of the Fraction list want, its terms
-    ints when all are integers and Fractions otherwise."""
+    """got is a FinSupp with the values of the Fraction list want, equal to
+    and hashing as the FinSupp of want, its terms ints when all are integers
+    and Fractions otherwise."""
     want = _stripped(want)
+    assert got == FinSupp(want) and hash(got) == hash(FinSupp(want))
     assert list(got.terms) == want and got.support_bound == len(want)
     integral = all(t.denominator == 1 for t in want)
     assert all(type(t) is (int if integral else Fraction) for t in got.terms), got
