@@ -200,3 +200,11 @@ def test_phitilde_images_and_verdicts_build_no_fraction_per_term(monkeypatch):
 
         counts.append(_fractions_built(monkeypatch, run))
     assert counts[0] == counts[1] < 10
+
+
+def test_a_short_prefix_of_a_lazy_image_keeps_its_own_denominator():
+    """A lazy image's prefix shorter than its FinSupp input reads the input's
+    prefix over that prefix's own denominator, so its terms are typed as
+    before: ints here, as the first two terms of the input are."""
+    got = apply_upper(make_operator("P"), FinSupp([1, 2, Fraction(1, 2)])).prefix(2)
+    assert got == [1, 3] and [type(t) for t in got] == [int, int]
