@@ -159,8 +159,6 @@ def parse_pipeline(text: str) -> Pipeline:
 # Factories by their name in the package namespace, looked up on use: the
 # eigenstructure ones import that module the first time they are asked for.
 _MATRIX_EXTRA = {
-    "PD": "pd",
-    "PTD": "ptd",
     "N": "make_N",
     "M": "make_M",
     "PTdown": "ptdown",

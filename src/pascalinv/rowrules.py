@@ -51,14 +51,10 @@ class Nums:
         return Nums(rule(self.ns), self.den)
 
 
-def terms_of(held) -> list:
-    """The terms of a prefix held as a list or as a ``Nums``."""
-    return held.terms() if isinstance(held, Nums) else held
-
-
 def _over_common_denominator(xs) -> Nums:
-    """xs itself if it is a ``Nums``; else the terms xs over their least common
-    denominator, when every term is an int or a Fraction, or ``Nums(list(xs), None)``."""
+    """xs itself if it is a ``Nums``; else the terms xs, kept as given, over
+    their least common denominator when every term is an int or a Fraction,
+    or ``Nums(list(xs), None)``."""
     if isinstance(xs, Nums):
         return xs
     if all(map(isinstance, xs, repeat(int))):
@@ -67,9 +63,7 @@ def _over_common_denominator(xs) -> Nums:
         return Nums(list(xs), None)
     dens = [x.denominator for x in xs]
     den = lcm(*dens)
-    if den == 1:
-        return Nums([x.numerator for x in xs], den)
-    return Nums([x.numerator * (den // d) for x, d in zip(xs, dens)], den)
+    return Nums([x.numerator * (den // d) for x, d in zip(xs, dens)], den, xs)
 
 
 def rows_over(sums: list, den) -> Nums:
@@ -83,7 +77,7 @@ def rows_over(sums: list, den) -> Nums:
         return Nums(sums, den)
     held = _over_common_denominator(sums)
     if held.den is not None:
-        return Nums(held.ns, held.den, sums) if den == 1 else Nums(held.ns, held.den * den)
+        return held if den == 1 else Nums(held.ns, held.den * den)
     if den != 1:
         inv = Fraction(1, den)
         sums = [t * inv if isinstance(t, QuadExt) else Fraction(t, den) for t in sums]

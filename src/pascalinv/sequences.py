@@ -35,8 +35,7 @@ from .errors import (
 )
 from .operators import TriOp, make_operator, pd, ptd
 from .rowrules import (ROW_RULES, Nums, _fit, _over_common_denominator, added, difference_heads,
-                       differences, geometric_nums, geometric_terms, rows_over, scaled,
-                       terms_of)
+                       differences, geometric_nums, geometric_terms, rows_over, scaled)
 from .scalars import QuadExt, Scalar, exact_div, scalar_cmp
 
 CLASSICAL = "classical"
@@ -264,7 +263,8 @@ class Lazy(Seq, Record):
     Give exactly one of ``oracle(n)``, one term, or ``rows(depth)``, terms
     0..depth-1 at once; the package's images give ``rows`` returning a
     ``rowrules.Nums`` that reads each input term once.  Compares by identity
-    and keeps the longest prefix computed so far, its only cache:
+    and keeps the longest prefix computed so far as a ``Nums``, its only
+    cache, which keeps the terms an oracle or a listed ``rows`` gave:
     ``term(n)`` past it calls the oracle again, while a prefix computes each
     term once.
     """
@@ -277,35 +277,33 @@ class Lazy(Seq, Record):
                  rows: Optional[Callable[[int], list]] = None):
         if (oracle is None) == (rows is None):
             raise ValueError("Lazy needs exactly one of oracle and rows")
-        vars(self).update(oracle=oracle, label=label, rows=rows, _head=[])
+        vars(self).update(oracle=oracle, label=label, rows=rows, _head=Nums([], 1))
 
     def term(self, n):
         if n < 0:
             raise ValueError("n must be >= 0")
         head = self._head
-        if n >= len(head):
+        if n >= len(head.ns):  # not len(head): a Python __len__ call per term read
             if self.rows is None:
                 return self.oracle(n)
             # grow geometrically so that reading terms in order stays linear
             head = self._extend(max(n + 1, 2 * len(head)))
-        return terms_of(head)[n]
+        return head.terms()[n]
 
     def _prefix(self, depth):
-        return terms_of(self._held(depth))[:depth]
+        return self._nums(depth).terms()[:depth]
 
     def _nums(self, depth):
-        return _over_common_denominator(self._held(depth))
-
-    def _held(self, depth):
         head = self._head
         return head if depth <= len(head) else self._extend(depth)
 
     def _extend(self, depth):
         head = self._head
         if self.rows is None:
-            head = head + [self.term(n) for n in range(len(head), depth)]
+            head = head.terms() + [self.term(n) for n in range(len(head), depth)]
         else:
             head = self.rows(depth)
+        head = _over_common_denominator(head)
         object.__setattr__(self, "_head", head)
         return head
 
@@ -408,9 +406,7 @@ def apply_finite(op: TriOp, seq: Seq, depth: int) -> list:
         raise ValueError("depth must be >= 0")
     if not depth:
         return []
-    need = depth + op.band.above
-    held = isinstance(seq, FinSupp) and seq.support_bound <= need
-    return terms_of(_row_sums(op, seq._held if held else seq.prefix(need), depth))
+    return _row_sums(op, seq._nums(depth + op.band.above), depth).terms()
 
 
 def _row_sums(op: TriOp, xs: list, depth: int) -> list:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import lshift, mul
+from operator import lshift
 from typing import Callable, Optional
 
 from .errors import Record, SupportCapError, UnsupportedPairError
@@ -44,12 +44,15 @@ def t42a(x: Seq) -> Seq:
     return seq_add(x, seq_scale(2, shift_up(x)))
 
 
+_JINV2 = make_operator("Jinv", 2)
+
+
 def t42b(x: Seq, mode: str = CONTINUED) -> Seq:
     """Inverse Jordan block at 2 after a down-shift: inverse invariant -> invariant, second kind.
 
     Classical mode is admissible per geometric ratio r when |r| < 2.
     """
-    return apply_upper(make_operator("Jinv", 2), shift_down(x), mode)
+    return apply_upper(_JINV2, shift_down(x), mode)
 
 
 def t42c(x: Seq) -> Seq:
@@ -295,11 +298,6 @@ def orthogonality(x: Seq, y: Seq, depth: int = 32) -> Scalar:
     Needs one finitely supported operand, or two geometric combinations whose
     pairwise ratio products stay inside the unit disc (classical closed form).
     """
-    if isinstance(x, FinSupp) and isinstance(y, FinSupp):
-        f, g = x._held, y._held
-        if f.den and g.den:  # on integer numerators, one division
-            s = sum(map(mul, f.ns[::2], g.ns[::2])) - sum(map(mul, f.ns[1::2], g.ns[1::2]))
-            return s if f.den * g.den == 1 else Fraction(s, f.den * g.den)
     if isinstance(y, FinSupp):
         xs = x.prefix(y.support_bound)
         return sum(xs[n] * (-1) ** n * t for n, t in enumerate(y.terms))

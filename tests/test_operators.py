@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pascalinv.errors import InfiniteSumError
 from pascalinv.operators import (
     Band,
     DenseMat,
+    TriOp,
     banded,
     compose,
     delete_leading,
@@ -90,6 +93,8 @@ NAMED_SNAPSHOT = {
     ("Omega", None): ("Ω", ("Omega",), (None, 0)),
     ("Q", None): ("Q", ("Q",), (None, 0)),
     ("QT", None): ("Q^T", ("QT",), (0, None)),
+    ("PD", None): ("PD", ("PD",), (None, 0)),
+    ("PTD", None): ("P^T D", ("PTD",), (0, None)),
     ("J", 2): ("J(2)", ("J", 2), (0, 1)),
     ("J", ROOT5): ("J(√5)", ("J", ROOT5), (0, 1)),
     ("Jinv", Fraction(1, 2)): ("J(1/2)^-1", ("Jinv", Fraction(1, 2)), (0, None)),
@@ -119,6 +124,17 @@ def test_make_operator_error_messages(name, param, message):
     with pytest.raises(ValueError) as info:
         make_operator(name, param)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("factory, name, entry", [
+    (pd, "PD", lambda i, j: binomial(i, j) * (-1) ** j),
+    (ptd, "PTD", lambda i, j: binomial(j, i) * (-1) ** j),
+])
+def test_pd_and_ptd_are_the_named_operators(factory, name, entry):
+    got, want = factory(), make_operator(name)
+    assert (got.label, got.band, got.tag) == (want.label, want.band, want.tag)
+    block = DenseMat.from_rows([[entry(i, j) for j in range(12)] for i in range(12)])
+    assert truncate(got, 12, 12) == truncate(want, 12, 12) == block
 
 
 def test_q_matches_block_sum():
@@ -176,6 +192,38 @@ def test_compose_rejects_unbounded_inner_range():
     # banded factors make the same pairing legal
     compose(make_operator("D"), make_operator("P"))
     compose(make_operator("PT"), make_operator("J", 0))
+
+
+SIDES = st.one_of(st.none(), st.integers(0, 3))
+
+
+@st.composite
+def banded_ops(draw):
+    """A leaf operator with a drawn band: nonzero small ints inside it, zero outside."""
+    band = Band(draw(SIDES), draw(SIDES))
+    seed = draw(st.integers(0, 10 ** 6))
+
+    def entry(i, j):
+        inside = (band.below is None or i - j <= band.below) and (
+            band.above is None or j - i <= band.above)
+        return (seed + 31 * i + 17 * j) ** 2 % 7 - 3 if inside else 0
+
+    return TriOp(band, entry, f"X{seed}")
+
+
+@settings(max_examples=200)
+@given(banded_ops(), banded_ops())
+def test_compose_entries_and_blocks_match_a_brute_force_product(a, b):
+    # every legal pairing of lower, upper, banded and unbounded sides
+    if a.band.above is None and b.band.below is None:
+        with pytest.raises(InfiniteSumError):
+            compose(a, b)
+        return
+    ab = compose(a, b)
+    want = [[sum(a.entry(i, k) * b.entry(k, j) for k in range(i + j + 8)) for j in range(12)]
+            for i in range(12)]
+    assert [[ab.entry(i, j) for j in range(12)] for i in range(12)] == want
+    assert truncate(ab, 12, 12) == DenseMat.from_rows(want)
 
 
 def test_truncation_commutes_with_composition():

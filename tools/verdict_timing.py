@@ -9,7 +9,8 @@ checkout (a directory with ``src/pascalinv``), that copy is loaded too, under
 another module name, in the same process.  For each case and depth, each
 round builds CALLS fresh inputs per tree (cold lazy images; the Bernoulli and K
 caches are warmed once beforehand) and times the case's judgement of them,
-the trees taking turns: ``check_invariance(x, "first", d)`` for most cases;
+the trees taking turns: ``check_invariance(x, "first", d)`` for most cases,
+a first-kind power column among them, whose terms are ``compose`` entries;
 for the finitely supported second-kind cases, ``PTD·(PTD·x) == x`` on a
 rational x of d/8 terms, and the ``phitilde(3)`` image of a 5-term rational
 x built and given its second-kind verdict inside the timed call.  The table
@@ -66,6 +67,7 @@ def cases(pv):
         "t42c(KSeq())": first(lambda: transforms.t42c(pv.KSeq())),
         "t42d(AltBernoulli())": first(lambda: transforms.t42d(pv.AltBernoulli())),
         "KSeq()": first(pv.KSeq),
+        "(P+D)^3 col 2, composed entries": first(lambda: transforms.power_column("P+D", 3, 2)),
         "psitilde(3) of a FinSupp": first(
             lambda: transforms.build_psi(3, "tilde").apply(pv.FinSupp(finsupp))
         ),
