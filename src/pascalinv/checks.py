@@ -99,14 +99,11 @@ def check_binomial_involution(cfg: RunConfig):
 
 
 def check_nm_identity(cfg: RunConfig):
-    yield from _mutual_inverses(eig.make_N(), eig.make_M(), cfg.depth)
+    yield from eig.nm_columns(cfg.depth)
 
 
 def check_block_diag(cfg: RunConfig):
-    # every smaller block sum is the top-left corner of the largest one
-    m = min(8, cfg.depth // 2)
-    if m >= 1:
-        yield eig.verify_block_diag(m)
+    yield from eig.block_diag_columns(cfg.depth)
 
 
 def check_stabilization(cfg: RunConfig):

@@ -15,7 +15,6 @@ from .errors import Record
 from .operators import (
     LOWER,
     UPPER,
-    DenseMat,
     TriOp,
     banded,
     compose,
@@ -94,15 +93,6 @@ def factor_chain(kind: str, m: int) -> TriOp:
     return reduce(compose, [make_factor(kind, k) for k in ks])
 
 
-def _block_sum(block, m: int) -> DenseMat:
-    rows = [[0] * (2 * m) for _ in range(2 * m)]
-    for t in range(m):
-        for i in range(2):
-            for j in range(2):
-                rows[2 * t + i][2 * t + j] = block[i][j]
-    return DenseMat.from_rows(rows)
-
-
 def _conjugated_ptd() -> TriOp:
     return compose(compose(make_N(), ptd()), make_M())
 
@@ -114,14 +104,52 @@ def _conjugated_pd() -> TriOp:
     return compose(compose(dmtd, pd()), dntd)
 
 
+def _binomial(n: int, r: int) -> int:
+    """C(n, r) for any integer n (Concrete Mathematics 5.1); scalars.binomial is 0 for n < 0."""
+    if r < 0:
+        return 0
+    return comb(n, r) if n >= 0 else (-1) ** r * comb(r - n - 1, r)
+
+
+# The transposed similarity products in closed form.  N^T is the double Riordan
+# array (1; z/(1+z), z): column c >= 1 is z^c/(1+z)^(k+1), k = (c-1)//2.  Row i of
+# M^T x is [z^i] (1+z)^(i//2) X(z), so (M^T N^T)_ic = C(i//2 - k - 1, i - c), which
+# is 0 for i > c.  DP = (1/(1+z), -z/(1+z)) takes column c >= 1 of N^T to
+# (-1)^c z^c (1+z)^(k-c) and column 0 to 1/(1+z).  M^T·DP·N^T is the transpose of
+# N·P^T D·M, and D times it times D is the first-kind product D M^T D·PD·D N^T D.
+def _mn_entry(i: int, c: int) -> int:
+    return _binomial(i // 2 - (c - 1) // 2 - 1, i - c) if c else int(i == 0)
+
+
+def _mdpn_entry(i: int, c: int) -> int:
+    if c == 0:
+        return _binomial(i // 2 - 1, i)
+    return (-1 if c & 1 else 1) * _binomial(i // 2 + (c - 1) // 2 - c, i - c)
+
+
+def _columns(entry, target, s: int):
+    """One truth value per column c < s: column c of entry is 0 but for target[c % 2] from row c."""
+    for c in range(s):
+        yield [entry(i, c) for i in range(s)] == ([0] * c + target[c & 1] + [0] * s)[:s]
+
+
+def nm_columns(s: int):
+    """N·M = I on the s×s block, column by column of M^T N^T.  N and M are unit
+    upper triangular, so N_s M_s = I_s also gives M_s N_s = I_s."""
+    return _columns(_mn_entry, ([1], [1]), s)
+
+
+def block_diag_columns(s: int):
+    """Both products are 2x2 block sums on the s×s block, column by column of
+    M^T·DP·N^T against the sum of [[1, 0], [-1, -1]], the transposed block."""
+    return _columns(_mdpn_entry, ([1, -1], [-1]), s)
+
+
 def verify_block_diag(m: int) -> bool:
     """Check both similarity products against their 2x2 block sums on a 2m block."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    s = 2 * m
-    upper_ok = truncate(_conjugated_ptd(), s, s) == _block_sum([[1, -1], [0, -1]], m)
-    lower_ok = truncate(_conjugated_pd(), s, s) == _block_sum([[1, 0], [1, -1]], m)
-    return upper_ok and lower_ok
+    return all(block_diag_columns(2 * m))
 
 
 def _riordan(op: TriOp, name: str) -> TriOp:

@@ -231,6 +231,13 @@ def test_block_diag_retains_nothing_that_grows_with_size():
     assert large <= small + 64 * 1024, (small, large)
 
 
+def test_block_product_truncation_retains_nothing_that_grows_with_size():
+    truncate(eigenstructure._conjugated_ptd(), 2, 2)  # warm
+    small = _retained_bytes(lambda: truncate(eigenstructure._conjugated_ptd(), 8, 8))
+    large = _retained_bytes(lambda: truncate(eigenstructure._conjugated_ptd(), 64, 64))
+    assert large <= small + 64 * 1024, (small, large)
+
+
 @pytest.mark.parametrize("top", range(1, 11))
 def test_largest_block_sum_decides_every_smaller_one(top):
     assert verify_block_diag(top) == all(verify_block_diag(m) for m in range(1, top + 1))

@@ -2,7 +2,7 @@ from itertools import islice
 
 import pytest
 
-from pascalinv import transforms
+from pascalinv import eigenstructure as eig, transforms
 from pascalinv.checks import (
     SUITES,
     RunConfig,
@@ -34,6 +34,17 @@ def test_run_suite_stops_at_the_first_failing_case(monkeypatch):
     [result] = run_suite("eigen", RunConfig(depth=5))
     assert (result.name, result.passed, result.depth, result.detail) == ("probe", False, 5, "case 1")
     assert result.elapsed_ms >= 0
+
+
+@pytest.mark.parametrize("check, entry", [("NM-identity", "_mn_entry"),
+                                          ("block-diag", "_mdpn_entry")])
+def test_similarity_checks_read_every_column_of_the_block(check, entry, monkeypatch):
+    # (20, 18) lies outside the 16x16 corner that block-diag once read
+    real = getattr(eig, entry)
+    monkeypatch.setattr(eig, entry, lambda i, c: real(i, c) + ((i, c) == (20, 18)))
+    results = {r.name: r for r in run_suite("similarity", RunConfig(depth=24))}
+    assert [name for name, r in results.items() if not r.passed] == [check]
+    assert results[check].detail == "case 18"
 
 
 def test_power_columns_skip_prefixes_that_are_all_zero():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pascalinv import eigenstructure as eig
 from pascalinv.eigenstructure import (
     EigenSpaceId,
     basis_vector,
@@ -103,6 +104,22 @@ def test_block_diagonalization():
         assert verify_block_diag(m)
     with pytest.raises(ValueError):
         verify_block_diag(0)
+
+
+@pytest.mark.parametrize("s", range(1, 65))
+def test_closed_entries_match_the_block_products(s):
+    def from_entries(entry):
+        return DenseMat.from_rows([[entry(i, c) for c in range(s)] for i in range(s)])
+
+    def transposed(m):
+        return DenseMat.from_rows(list(zip(*m.data)))
+
+    nm = from_entries(eig._mn_entry)
+    mdpn = from_entries(eig._mdpn_entry)
+    assert nm == transposed(truncate(compose(make_N(), make_M()), s, s))
+    assert mdpn == transposed(truncate(eig._conjugated_ptd(), s, s))
+    conjugated = from_entries(lambda i, c: (-1) ** (i + c) * mdpn[i, c])
+    assert conjugated == truncate(eig._conjugated_pd(), s, s)
 
 
 def test_block_diagonalization_is_sensitive():

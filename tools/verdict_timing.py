@@ -13,7 +13,9 @@ the trees taking turns: ``check_invariance(x, "first", d)`` for most cases,
 a first-kind power column among them, whose terms are ``compose`` entries;
 for the finitely supported second-kind cases, ``PTD·(PTD·x) == x`` on a
 rational x of d/8 terms, and the ``phitilde(3)`` image of a 5-term rational
-x built and given its second-kind verdict inside the timed call.  The table
+x built and given its second-kind verdict inside the timed call; and the
+``NM-identity`` and ``block-diag`` checks at depth d, judged by
+``all(check(RunConfig(depth=d)))``.  The table
 gives the minimum over N rounds in µs per call, and base/checkout when BASE
 is given.  Both trees must then give each input the same result; the script
 exits 1 otherwise.
@@ -49,6 +51,7 @@ def cases(pv):
     """Case name -> (build, judge): build(d) makes a fresh input through the
     public API, untimed, and judge(x, d) is the timed call."""
     transforms = importlib.import_module(pv.__name__ + ".transforms")
+    checks = importlib.import_module(pv.__name__ + ".checks")
     geom = ((Fraction(2), Fraction(-1, 3)), (Fraction(2), Fraction(4, 3)))
     finsupp = (Fraction(1, 2), Fraction(-2, 3), 5)
     ptd = pv.ptd()
@@ -79,6 +82,8 @@ def cases(pv):
             lambda d: pv.FinSupp(finsupp + (Fraction(-1, 6), Fraction(3, 4))),
             phitilde3,
         ),
+        "NM-identity": (checks.RunConfig, lambda cfg, d: all(checks.check_nm_identity(cfg))),
+        "block-diag": (checks.RunConfig, lambda cfg, d: all(checks.check_block_diag(cfg))),
     }
 
 
