@@ -9,17 +9,19 @@ here takes the rule of its pair, ``riordan.ROWS``, on integer prefixes.
 
 ``Nums`` is the one internal form of a prefix, from a term oracle or a
 ``FinSupp`` to a verdict; the helpers below step it through the package's
-images without a ``Fraction`` per term.
+images without a ``Fraction`` per term.  A value of Q(√d) is stepped as its
+integer halves, (a + b√d) / c: a geometric combination's prefix, and the
+rows of a Riordan rule over Q(√d).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import mul, neg, sub
 from typing import Callable, Optional
 
-from .scalars import QuadExt, Scalar, exact_div
+from .scalars import QuadExt, Scalar, _quad, exact_div
 
 _RATIONAL = (int, Fraction)
 
@@ -84,6 +86,46 @@ def rows_over(sums: list, den) -> Nums:
     return Nums(sums, None)
 
 
+def _halves(x: Scalar) -> tuple:
+    """(a, b, c) in integers, c > 0 and gcd(a, b, c) = 1, with x == (a + b√d) / c,
+    d the field of x when x is a ``QuadExt``: the integer halves of x."""
+    if isinstance(x, QuadExt):
+        a, b = x.a, x.b
+        c = lcm(a.denominator, b.denominator)
+        return a.numerator * (c // a.denominator), b.numerator * (c // b.denominator), c
+    return x.numerator, 0, x.denominator
+
+
+def field_rows(rule: Callable, xs: list, depth: int, span: Callable) -> Optional[list]:
+    """Rows 0..depth-1 of an operator with int entries, band ``span`` and
+    integer-prefix rule ``rule(ns, depth)``, times the terms xs, when every
+    ``QuadExt`` among them carries one field label d (else None): the rule runs
+    on the integer halves of xs over one denominator D, and row i is built as
+    its entry sums would leave it, a ``QuadExt`` if a ``QuadExt`` term lies in
+    span(i, len(xs)), else a ``Fraction`` if a ``Fraction`` does, else an int."""
+    labels = {x.d for x in xs if isinstance(x, QuadExt)}
+    if len(labels) > 1:
+        return None
+    d = labels.pop()
+    hs = [_halves(x) for x in xs]
+    D = lcm(*[c for _, _, c in hs])
+    rows_a = rule([a * (D // c) for a, _, c in hs], depth)
+    rows_b = rule([b * (D // c) for _, b, c in hs], depth)
+    # how many QuadExt and Fraction terms lie below each index
+    quads = list(accumulate((isinstance(x, QuadExt) for x in xs), initial=0))
+    fracs = list(accumulate((isinstance(x, Fraction) for x in xs), initial=0))
+    rows, n = [], len(xs)
+    for i, (a, b) in enumerate(zip(rows_a, rows_b)):
+        cols = span(i, n)
+        hi = cols.stop
+        lo = min(cols.start, hi)
+        if quads[hi] > quads[lo]:
+            rows.append(_quad(Fraction(a, D), Fraction(b, D), d))
+        else:
+            rows.append(Fraction(a, D) if fracs[hi] > fracs[lo] else a // D)
+    return rows
+
+
 def _geometric_sums(pairs: tuple, depth: int) -> Optional[tuple]:
     """(s, b, q) with sum_j c_j r_j**n == s[n] / (b q**n) for n < depth, b and
     q the least common denominators of the c_j and of the r_j, when every
@@ -102,23 +144,92 @@ def _geometric_sums(pairs: tuple, depth: int) -> Optional[tuple]:
     return out, b, q
 
 
+def _field_steps(c: Scalar, r: Scalar, d: int, depth: int) -> list:
+    """[(a_n, b_n, C_n)] with c·r**n == (a_n + b_n√d) / C_n for n < depth, c and
+    r in Q(√d): r = (p + q√d) / R steps (a, b, C) to (a·p + d·b·q, a·q + b·p, C·R),
+    divided by gcd(a, b, C), taken with the small C first."""
+    a, b, C = _halves(c)
+    p, q, R = _halves(r)
+    dq = d * q
+    out = [(a, b, C)] * depth
+    for n in range(1, depth):
+        a, b, C = a * p + dq * b, a * q + b * p, C * R
+        g = gcd(C, a)
+        if g > 1:
+            g = gcd(g, b)
+            if g > 1:
+                a, b, C = a // g, b // g, C // g
+        out[n] = (a, b, C)
+    return out
+
+
+def geometric_term(pairs: tuple, n: int) -> Scalar:
+    """Term n of sum_j c_j r_j**n, one power per pair: ``ExpComb.term``."""
+    total = 0
+    for c, r in pairs:
+        total += c * r**n
+    return total
+
+
 def geometric_terms(pairs: tuple, depth: int) -> list:
-    """Terms 0..depth-1 of sum_j c_j r_j**n with the values and types of
+    """Terms 0..depth-1 of sum_j c_j r_j**n with the values, types and reprs of
     ``ExpComb.term``: rational pairs divide their integer sums once per term,
-    and other pairs step c·r**n by one multiply per term."""
+    and other pairs take ``_field_terms``."""
     got = _geometric_sums(pairs, depth)
     if got is None:
-        out = [0] * depth
-        for c, r in pairs:
-            w = c * r**0
-            for n in range(depth):
-                out[n] += w
-                w = w * r
-        return out
+        return _field_terms(pairs, depth)
     s, b, q = got
     if all(isinstance(v, int) for pair in pairs for v in pair):
         return s
     return list(map(Fraction, s, accumulate(repeat(q, depth - 1), mul, initial=b)))
+
+
+def _field_terms(pairs: tuple, depth: int) -> list:
+    """The terms of pairs whose irrational values lie in one field Q(√d), each
+    summed from the pairs' integer halves over the least common multiple of
+    their denominators and built once as a ``QuadExt``; pairs with irrational
+    values from two fields take ``geometric_term`` per term."""
+    quads = [v for pair in pairs for v in pair if isinstance(v, QuadExt)]
+    fields = {v.d for v in quads if v.b}
+    if len(fields) > 1:
+        return [geometric_term(pairs, n) for n in range(depth)]
+    d = fields.pop() if fields else quads[0].d
+    cols = [_field_steps(c, r, d, depth) for c, r in pairs]
+    labels = repeat(d) if all(v.d == d for v in quads) else _labels(pairs, cols, depth)
+    terms = []
+    for row, e in zip(zip(*cols), labels):
+        D = lcm(*[C for _, _, C in row])
+        A = B = 0
+        for a, b, C in row:
+            A += a * (D // C)
+            B += b * (D // C)
+        terms.append(_quad(Fraction(A, D), Fraction(B, D), e))
+    return terms
+
+
+def _labels(pairs: tuple, cols: list, depth: int) -> list:
+    """The field label of each term as ``geometric_term`` leaves it when the
+    pairs' ``QuadExt`` values carry more than one label (all but one field
+    rational-valued): a product or a sum takes its left operand's label
+    (``QuadExt._parts``), unless that operand is rational-valued and the right
+    one is irrational; an int or a Fraction takes the other operand's."""
+    out = []
+    for n in range(depth):
+        label, part = None, 0  # the running sum's label (None while rational-typed) and √d half
+        for (c, r), col in zip(pairs, cols):
+            _, b, C = col[n]
+            if not isinstance(r, QuadExt):
+                e = c.d if isinstance(c, QuadExt) else None
+            elif not isinstance(c, QuadExt):
+                e = r.d
+            else:  # r**n is irrational for irrational r at n > 0, but at even n when r = q√d
+                irrational = r.b and n and (r.a or n % 2)
+                e = r.d if irrational and not c.b else c.d
+            if label is None or (e is not None and b and not part):
+                label = e
+            part += Fraction(b, C)
+        out.append(label)
+    return out
 
 
 def geometric_nums(pairs: tuple, depth: int) -> Nums:
@@ -126,7 +237,7 @@ def geometric_nums(pairs: tuple, depth: int) -> Nums:
     by Q**(depth-1-n) once, when the pairs are rational; else the terms."""
     got = _geometric_sums(pairs, depth)
     if got is None:
-        return Nums(geometric_terms(pairs, depth), None)
+        return Nums(_field_terms(pairs, depth), None)
     s, b, q = got
     powers = list(accumulate(repeat(q, depth - 1), mul, initial=1))
     return Nums(list(map(mul, s, reversed(powers))), b * powers[-1])

@@ -35,7 +35,8 @@ from .errors import (
 )
 from .operators import TriOp, make_operator, pd, ptd
 from .rowrules import (ROW_RULES, Nums, _fit, _over_common_denominator, added, difference_heads,
-                       differences, geometric_nums, geometric_terms, rows_over, scaled)
+                       differences, field_rows, geometric_nums, geometric_term, geometric_terms,
+                       rows_over, scaled)
 from .scalars import QuadExt, Scalar, exact_div, scalar_cmp
 
 CLASSICAL = "classical"
@@ -197,10 +198,7 @@ class ExpComb(Seq, Record):
     def term(self, n):
         if n < 0:
             raise ValueError("n must be >= 0")
-        total = 0
-        for c, r in self.pairs:
-            total += c * r**n
-        return total
+        return geometric_term(self.pairs, n)
 
     def _prefix(self, depth):
         return geometric_terms(self.pairs, depth)
@@ -423,23 +421,26 @@ def _row_numerators(op: TriOp, xs: list, depth: int) -> tuple:
     """(ns, sums, den): xs[k] == ns[k] / den and row i of op times xs is
     sums[i] / den (see ``rowrules.rows_over``), ints when xs (maybe a
     ``Nums``) is rational; else (terms, rows, None).  The rows come from
-    the operator's rule in ``rowrules.ROW_RULES``; else, on the integer path
-    (over Q(√d) some rows would change type), from its Riordan pair's in
-    ``riordan.ROWS``; else from the entry sums over the band."""
+    the operator's rule in ``rowrules.ROW_RULES``; else from its Riordan
+    pair's in ``riordan.ROWS``, over Q(√d) on the integer halves of the terms
+    (``rowrules.field_rows``) when their ``QuadExt`` values carry one field
+    label; else from the entry sums over the band."""
     held = _over_common_denominator(xs)
     ns, den = held.ns, held.den
     head = op.tag[0] if op.tag else None
     rule = ROW_RULES.get(head)
-    if rule is None and den is not None and head:
+    if rule is not None:
+        return ns, rule(ns, depth, *op.tag[1:]), den
+    if head:
         from . import riordan
 
         rule = riordan.ROWS.get(head)
     if rule is not None:
-        sums = rule(ns, depth, *op.tag[1:])
-    else:
-        span, entry, n = op.band.span, op.entry, len(ns)
-        sums = [sum(entry(i, k) * ns[k] for k in span(i, n)) for i in range(depth)]
-    return ns, sums, den
+        sums = rule(ns, depth) if den is not None else field_rows(rule, ns, depth, op.band.span)
+        if sums is not None:
+            return ns, sums, den
+    span, entry, n = op.band.span, op.entry, len(ns)
+    return ns, [sum(entry(i, k) * ns[k] for k in span(i, n)) for i in range(depth)], den
 
 
 def _abs_lt(x: Scalar, y: Scalar) -> bool:

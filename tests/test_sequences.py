@@ -2,6 +2,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -784,3 +785,107 @@ def test_expcomb_equality_decides_every_index(xy):
     x, y = xy
     k = len({r for _, r in x.pairs + y.pairs})
     assert (x == y) == (prefix(x, 2 * k) == prefix(y, 2 * k))
+
+
+FIELD_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def field_scalars(d):
+    """Scalars of one field Q(√d): rationals, Q(√d) values (rational-valued ones
+    among them) and rational-valued QuadExts that carry another field's label."""
+    return st.one_of(
+        FIELD_RATIONALS,
+        st.integers(-3, 3),
+        st.builds(lambda a, b: QuadExt(a, b, d), FIELD_RATIONALS, FIELD_RATIONALS),
+        st.builds(lambda a, e: QuadExt(a, 0, e), FIELD_RATIONALS, st.sampled_from([2, 3, 5])),
+    )
+
+
+@st.composite
+def field_combinations(draw):
+    """Pairs over Q(√5) or Q(√2), with zero ratios (0**0 = 1) and ratios b√d,
+    whose even powers are rational, and a depth of 0..60."""
+    d = draw(st.sampled_from([5, 2]))
+    scalars = field_scalars(d)
+    ratios = st.one_of(scalars, st.just(0), st.builds(lambda b: QuadExt(0, b, d), FIELD_RATIONALS))
+    pairs = draw(st.lists(st.tuples(scalars, ratios), min_size=1, max_size=4))
+    return pairs, draw(st.integers(0, 60))
+
+
+@given(field_combinations())
+def test_field_prefix_keeps_the_terms_reprs(drawn):
+    """A prefix over Q(√d) has the value, type and repr, field label included,
+    of each ExpComb.term, whether read as terms or as the Nums of a verdict;
+    every step of the integer halves is reduced."""
+    pairs, depth = drawn
+    x = ExpComb(pairs)
+    want = repr([x.term(n) for n in range(depth)])
+    assert repr(x.prefix(depth)) == want
+    quads = [v for pair in x.pairs for v in pair if isinstance(v, QuadExt)]
+    if quads:
+        # a rational combination's Nums lies over one denominator (an integral
+        # Fraction term reads back as an int); a Q(√d) one holds the terms
+        assert repr(x._nums(depth).terms()[:depth]) == want
+        d = next((v.d for v in quads if v.b), quads[0].d)
+        for c, r in x.pairs:
+            for n, (a, b, den) in enumerate(rowrules._field_steps(c, r, d, depth)):
+                assert QuadExt(Fraction(a, den), Fraction(b, den), d) == c * r**n
+                assert gcd(a, b, den) == 1
+
+
+def test_field_prefix_makes_no_quadext_arithmetic(monkeypatch):
+    """A Q(√5) prefix steps integers: no QuadExt product or sum is taken."""
+    calls = Counter()
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        method = getattr(QuadExt, name)
+        monkeypatch.setattr(QuadExt, name,
+                            lambda self, other, m=method, k=name: calls.update([k]) or m(self, other))
+    x = seq_add(seq_scale(2, lucas()), seq_scale(-3, fibonacci()))
+    want = [x.term(n) for n in range(44)]
+    assert calls  # the spy sees the term oracle's arithmetic
+    calls.clear()
+    assert x.prefix(44) == want
+    assert x._nums(44).terms() == want
+    assert check_invariance(x, "first", 44).verdict == "neither"
+    assert not calls
+
+
+def test_field_steps_of_the_golden_ratio_are_lucas_and_fibonacci_halves():
+    # τ1**n = (L_n + F_n √5) / 2, over 1 when L_n and F_n are both even (3 | n)
+    fib = fib_ints(41)
+    luc = [2, 1]
+    while len(luc) < 40:
+        luc.append(luc[-1] + luc[-2])
+    steps = rowrules._field_steps(1, TAU1, 5, 40)
+    assert steps == [(luc[n] // 2, fib[n] // 2, 1) if n % 3 == 0 else (luc[n], fib[n], 2)
+                     for n in range(40)]
+    assert rowrules._field_steps(1, TAU1, 5, 0) == []
+
+
+@pytest.mark.parametrize("name", [
+    name for name in RULE_OPS if KERNEL_OPS[name]().tag[0] not in rowrules.ROW_RULES])
+def test_riordan_rules_over_a_field_keep_the_entry_types(name):
+    """Over Q(√5) a Riordan rule runs on the integer halves, and each row keeps
+    the type the entry sums give it from the terms in its span (int rows where
+    only ints lie); a prefix whose QuadExts carry two labels takes the entry
+    sums, with their labels."""
+    op = KERNEL_OPS[name]()
+    untagged = TriOp(op.band, op.entry, op.label)
+    rng = random.Random(f"field rows:{name}")
+
+    def draw(labels):
+        k = rng.random()
+        if k < 0.4:
+            return rng.randint(-9, 9)
+        if k < 0.6:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return QuadExt(a, rng.randint(-3, 3), 5) if k < 0.9 else QuadExt(a, 0, rng.choice(labels))
+
+    for labels in ([5], [5, 2]):
+        for length in [rng.randint(1, 12) for _ in range(30)]:
+            xs = [draw(labels) for _ in range(length)]
+            if not any(isinstance(x, QuadExt) for x in xs):
+                continue
+            want = _row_sums(untagged, xs, length + 3)
+            assert repr(_row_sums(op, xs, length + 3)) == repr(want), xs

@@ -10,7 +10,10 @@ another module name, in the same process.  For each case and depth, each
 round builds CALLS fresh inputs per tree (cold lazy images; the Bernoulli and K
 caches are warmed once beforehand) and times the case's judgement of them,
 the trees taking turns: ``check_invariance(x, "first", d)`` for most cases,
-a first-kind power column among them, whose terms are ``compose`` entries;
+a first-kind power column among them, whose terms are ``compose`` entries,
+and three Q(√5) inputs, whose prefixes come from ``ExpComb`` stepping: the
+Binet combination 2L - 3F (neither), L (invariant) and the lazy image
+``shift_up(2L - 3F)``;
 for the finitely supported second-kind cases, ``PTD·(PTD·x) == x`` on a
 rational x of d/8 terms, and the ``phitilde(3)`` image of a 5-term rational
 x built and given its second-kind verdict inside the timed call; and the
@@ -59,6 +62,10 @@ def cases(pv):
     def first(build):
         return lambda d: build(), lambda x, d: pv.check_invariance(x, "first", d)
 
+    def binet():  # 2L - 3F over Q(√5)
+        return pv.ExpComb(tuple((2 * c, r) for c, r in pv.lucas().pairs)
+                          + tuple((-3 * c, r) for c, r in pv.fibonacci().pairs))
+
     def ptd_twice(x, d):
         return pv.apply_upper(ptd, pv.apply_upper(ptd, x)) == x
 
@@ -82,6 +89,10 @@ def cases(pv):
             lambda d: pv.FinSupp(finsupp + (Fraction(-1, 6), Fraction(3, 4))),
             phitilde3,
         ),
+        "2L-3F, Q(√5)": first(binet),
+        "L, Q(√5)": first(pv.lucas),
+        "shift_up(2L-3F), Q(√5)": first(lambda: pv.shift_up(binet())),
+        "Bernoulli()": first(pv.Bernoulli),
         "NM-identity": (checks.RunConfig, lambda cfg, d: all(checks.check_nm_identity(cfg))),
         "block-diag": (checks.RunConfig, lambda cfg, d: all(checks.check_block_diag(cfg))),
     }
