@@ -99,12 +99,13 @@ def _halves(x: Scalar) -> tuple:
 def field_rows(rule: Callable, xs: list, depth: int, span: Callable) -> Optional[list]:
     """Rows 0..depth-1 of an operator with int entries, band ``span`` and
     integer-prefix rule ``rule(ns, depth)``, times the terms xs, when every
-    ``QuadExt`` among them carries one field label d (else None): the rule runs
+    ``QuadExt`` among them carries one field label d and some term is a
+    ``QuadExt`` (else None, and the caller keeps its entry sums): the rule runs
     on the integer halves of xs over one denominator D, and row i is built as
     its entry sums would leave it, a ``QuadExt`` if a ``QuadExt`` term lies in
     span(i, len(xs)), else a ``Fraction`` if a ``Fraction`` does, else an int."""
     labels = {x.d for x in xs if isinstance(x, QuadExt)}
-    if len(labels) > 1:
+    if len(labels) != 1:
         return None
     d = labels.pop()
     hs = [_halves(x) for x in xs]
@@ -185,51 +186,23 @@ def geometric_terms(pairs: tuple, depth: int) -> list:
 
 
 def _field_terms(pairs: tuple, depth: int) -> list:
-    """The terms of pairs whose irrational values lie in one field Q(√d), each
-    summed from the pairs' integer halves over the least common multiple of
-    their denominators and built once as a ``QuadExt``; pairs with irrational
-    values from two fields take ``geometric_term`` per term."""
-    quads = [v for pair in pairs for v in pair if isinstance(v, QuadExt)]
-    fields = {v.d for v in quads if v.b}
-    if len(fields) > 1:
+    """The terms of pairs whose ``QuadExt`` values carry one field label d,
+    each summed from the pairs' integer halves over the least common multiple
+    of their denominators and built once as a ``QuadExt`` of Q(√d); pairs with
+    values of more than one label take ``geometric_term`` per term."""
+    labels = {v.d for pair in pairs for v in pair if isinstance(v, QuadExt)}
+    if len(labels) > 1:
         return [geometric_term(pairs, n) for n in range(depth)]
-    d = fields.pop() if fields else quads[0].d
-    cols = [_field_steps(c, r, d, depth) for c, r in pairs]
-    labels = repeat(d) if all(v.d == d for v in quads) else _labels(pairs, cols, depth)
+    d = labels.pop()
     terms = []
-    for row, e in zip(zip(*cols), labels):
+    for row in zip(*[_field_steps(c, r, d, depth) for c, r in pairs]):
         D = lcm(*[C for _, _, C in row])
         A = B = 0
         for a, b, C in row:
             A += a * (D // C)
             B += b * (D // C)
-        terms.append(_quad(Fraction(A, D), Fraction(B, D), e))
+        terms.append(_quad(Fraction(A, D), Fraction(B, D), d))
     return terms
-
-
-def _labels(pairs: tuple, cols: list, depth: int) -> list:
-    """The field label of each term as ``geometric_term`` leaves it when the
-    pairs' ``QuadExt`` values carry more than one label (all but one field
-    rational-valued): a product or a sum takes its left operand's label
-    (``QuadExt._parts``), unless that operand is rational-valued and the right
-    one is irrational; an int or a Fraction takes the other operand's."""
-    out = []
-    for n in range(depth):
-        label, part = None, 0  # the running sum's label (None while rational-typed) and √d half
-        for (c, r), col in zip(pairs, cols):
-            _, b, C = col[n]
-            if not isinstance(r, QuadExt):
-                e = c.d if isinstance(c, QuadExt) else None
-            elif not isinstance(c, QuadExt):
-                e = r.d
-            else:  # r**n is irrational for irrational r at n > 0, but at even n when r = q√d
-                irrational = r.b and n and (r.a or n % 2)
-                e = r.d if irrational and not c.b else c.d
-            if label is None or (e is not None and b and not part):
-                label = e
-            part += Fraction(b, C)
-        out.append(label)
-    return out
 
 
 def geometric_nums(pairs: tuple, depth: int) -> Nums:

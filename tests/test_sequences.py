@@ -889,3 +889,14 @@ def test_riordan_rules_over_a_field_keep_the_entry_types(name):
                 continue
             want = _row_sums(untagged, xs, length + 3)
             assert repr(_row_sums(op, xs, length + 3)) == repr(want), xs
+
+
+@pytest.mark.parametrize("name", [
+    name for name in RULE_OPS if KERNEL_OPS[name]().tag[0] not in rowrules.ROW_RULES])
+def test_riordan_rules_on_a_quadext_free_field_prefix(name):
+    """A prefix held as terms (den None) with no QuadExt left, such as the
+    shift of [√5, 1], takes the Riordan rows as the untagged operator does."""
+    op = KERNEL_OPS[name]()
+    untagged = TriOp(op.band, op.entry, op.label)
+    x = shift_down(FinSupp([QuadExt(0, 1, 5), 1]))
+    assert repr(apply_finite(op, x, 3)) == repr(apply_finite(untagged, x, 3))
