@@ -96,6 +96,24 @@ def _halves(x: Scalar) -> tuple:
     return x.numerator, 0, x.denominator
 
 
+def _field_label(values) -> Optional[int]:
+    """The one field label d of the ``QuadExt`` values among values; None when
+    there are none or several."""
+    labels = {x.d for x in values if isinstance(x, QuadExt)}
+    return labels.pop() if len(labels) == 1 else None
+
+
+def _joined(hs: list) -> tuple:
+    """Integer halves (a, b, c) over D, the lcm of the c: ([a·D/c], [b·D/c], D)."""
+    D = lcm(*[c for _, _, c in hs])
+    ns_a, ns_b = [], []
+    for a, b, c in hs:
+        k = D // c
+        ns_a.append(a * k)
+        ns_b.append(b * k)
+    return ns_a, ns_b, D
+
+
 def field_rows(rule: Callable, xs: list, depth: int, span: Callable) -> Optional[list]:
     """Rows 0..depth-1 of an operator with int entries, band ``span`` and
     integer-prefix rule ``rule(ns, depth)``, times the terms xs, when every
@@ -104,14 +122,11 @@ def field_rows(rule: Callable, xs: list, depth: int, span: Callable) -> Optional
     on the integer halves of xs over one denominator D, and row i is built as
     its entry sums would leave it, a ``QuadExt`` if a ``QuadExt`` term lies in
     span(i, len(xs)), else a ``Fraction`` if a ``Fraction`` does, else an int."""
-    labels = {x.d for x in xs if isinstance(x, QuadExt)}
-    if len(labels) != 1:
+    d = _field_label(xs)
+    if d is None:
         return None
-    d = labels.pop()
-    hs = [_halves(x) for x in xs]
-    D = lcm(*[c for _, _, c in hs])
-    rows_a = rule([a * (D // c) for a, _, c in hs], depth)
-    rows_b = rule([b * (D // c) for _, b, c in hs], depth)
+    ns_a, ns_b, D = _joined([_halves(x) for x in xs])
+    rows_a, rows_b = rule(ns_a, depth), rule(ns_b, depth)
     # how many QuadExt and Fraction terms lie below each index
     quads = list(accumulate((isinstance(x, QuadExt) for x in xs), initial=0))
     fracs = list(accumulate((isinstance(x, Fraction) for x in xs), initial=0))
@@ -190,18 +205,13 @@ def _field_terms(pairs: tuple, depth: int) -> list:
     each summed from the pairs' integer halves over the least common multiple
     of their denominators and built once as a ``QuadExt`` of Q(√d); pairs with
     values of more than one label take ``geometric_term`` per term."""
-    labels = {v.d for pair in pairs for v in pair if isinstance(v, QuadExt)}
-    if len(labels) > 1:
+    d = _field_label([v for pair in pairs for v in pair])
+    if d is None:
         return [geometric_term(pairs, n) for n in range(depth)]
-    d = labels.pop()
     terms = []
     for row in zip(*[_field_steps(c, r, d, depth) for c, r in pairs]):
-        D = lcm(*[C for _, _, C in row])
-        A = B = 0
-        for a, b, C in row:
-            A += a * (D // C)
-            B += b * (D // C)
-        terms.append(_quad(Fraction(A, D), Fraction(B, D), d))
+        ns_a, ns_b, D = _joined(row)
+        terms.append(_quad(Fraction(sum(ns_a), D), Fraction(sum(ns_b), D), d))
     return terms
 
 
@@ -234,15 +244,6 @@ def added(f: Nums, g: Nums) -> Nums:
 
 def differences(row: list) -> list:
     return list(map(sub, row[1:], row))
-
-
-def difference_heads(row: list) -> list:
-    """Heads Δ^n row_0 of the forward-difference table, n < len(row)."""
-    heads = []
-    while row:
-        heads.append(row[0])
-        row = differences(row)
-    return heads
 
 
 def _fit(xs: list, n: int) -> list:

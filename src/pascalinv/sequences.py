@@ -34,9 +34,9 @@ from .errors import (
     UnsupportedSequenceError,
 )
 from .operators import TriOp, make_operator, pd, ptd
-from .rowrules import (ROW_RULES, Nums, _fit, _over_common_denominator, added, difference_heads,
-                       differences, field_rows, geometric_nums, geometric_term, geometric_terms,
-                       rows_over, scaled)
+from .rowrules import (ROW_RULES, Nums, _fit, _over_common_denominator, added, differences,
+                       field_rows, geometric_nums, geometric_term, geometric_terms, rows_over,
+                       scaled)
 from .scalars import QuadExt, Scalar, exact_div, scalar_cmp
 
 CLASSICAL = "classical"
@@ -384,10 +384,11 @@ def _difference_once(seq: Seq) -> Seq:
 
 
 def newton_reconstruct(seq: Seq, depth: int) -> list:
-    """Rebuild the prefix from iterated difference heads via sum_k D^k a_0 * C(n, k)."""
+    """Rebuild the prefix via sum_k Δ^k a_0 * C(n, k), the heads Δ^k a_0 read as D·PD·a."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return _row_sums(make_operator("P"), difference_heads(prefix(seq, depth)), depth)
+    heads = _row_sums(make_operator("D"), _row_sums(pd(), prefix(seq, depth), depth), depth)
+    return _row_sums(make_operator("P"), heads, depth)
 
 
 def apply_finite(op: TriOp, seq: Seq, depth: int) -> list:
@@ -547,6 +548,7 @@ def check_invariance(
     require_mode(mode)
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    report_mode = "exact-finite"
     if kind == FIRST:
         xs, image, _ = _row_numerators(pd(), seq._nums(depth), depth)
     elif isinstance(seq, FinSupp):
@@ -554,12 +556,11 @@ def check_invariance(
         xs = _fit(ns, depth)
     elif isinstance(seq, ExpComb):
         xs, image = prefix(seq, depth), apply_upper(ptd(), seq, mode).prefix(depth)
+        report_mode = _SECOND_KIND_MODE[mode]
     else:
         raise UnsupportedSequenceError(
             "second-kind checks need finitely supported or geometric input"
         )
-    exact = kind == FIRST or isinstance(seq, FinSupp)
-    report_mode = "exact-finite" if exact else _SECOND_KIND_MODE[mode]
     plus = _first_mismatch(image, xs)
     minus = None if plus is None else _first_mismatch(image, map(neg, xs))
     verdict = INVARIANT if plus is None else INVERSE_INVARIANT if minus is None else NEITHER

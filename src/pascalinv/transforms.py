@@ -96,14 +96,19 @@ class Stage(Record):
 
     ``sets`` gives the output class regardless of input (projection stages);
     ``domain`` is the input class a flip stage expects, its output being the
-    same kind with the opposite sign.
+    same kind with the opposite sign.  ``support(b)``, when given, is the
+    support bound of the stage's image of a ``FinSupp`` of support bound b,
+    itself a ``FinSupp``; a stage without it maps a ``FinSupp`` to a lazy
+    image, which grows no further.  It is not in ``_fields``, so ``repr``,
+    ``==`` and ``hash`` do not read it.
     """
 
     _fields = ("name", "run", "sets", "domain")
 
     def __init__(self, name: str, run: Callable[[Seq, str], Seq],
-                 sets: Optional[tuple] = None, domain: Optional[tuple] = None):
-        vars(self).update(name=name, run=run, sets=sets, domain=domain)
+                 sets: Optional[tuple] = None, domain: Optional[tuple] = None,
+                 support: Optional[Callable[[int], int]] = None):
+        vars(self).update(name=name, run=run, sets=sets, domain=domain, support=support)
 
     def out_class(self, cls: Optional[tuple]) -> Optional[tuple]:
         if self.sets is not None:
@@ -146,16 +151,15 @@ class Pipeline(Record):
     def predicted_supports(self, seq: Seq):
         """Yield the support bound of each stage's image of a ``FinSupp``
         input, from ``support_bound`` alone, while the images stay
-        ``FinSupp``s (the stages in ``_FINSUPP_SUPPORT``); nothing for any
+        ``FinSupp``s (the stages with a ``support`` rule); nothing for any
         other input."""
         if not isinstance(seq, FinSupp):
             return
         b = seq.support_bound
         for stage in self.steps:
-            rule = _FINSUPP_SUPPORT.get(id(stage))
-            if rule is None:
+            if stage.support is None:
                 return
-            b = rule(b)
+            b = stage.support(b)
             yield b
 
     def output_class(self, input_class: Optional[tuple] = None) -> Optional[tuple]:
@@ -168,52 +172,33 @@ class Pipeline(Record):
         return " ; ".join(stage.name for stage in self.steps)
 
 
-def _matrix_stage(name, sets, finsupp_rows=None) -> Stage:
+def _matrix_stage(name, sets, support=None) -> Stage:
     """Projection onto the eigenspace ``sets`` through its spanning matrix."""
     op = BASIS_MATRICES[sets]()
 
     def run(seq, mode):
-        if isinstance(seq, FinSupp) and finsupp_rows is not None:
-            return FinSupp(_row_sums(op, seq._held, finsupp_rows(seq.support_bound)))
+        if isinstance(seq, FinSupp) and support is not None:
+            return FinSupp(_row_sums(op, seq._held, support(seq.support_bound)))
         return _image(op, seq)
 
-    return Stage(name, run, sets=sets)
+    return Stage(name, run, sets=sets, support=support)
 
 
 # a FinSupp of support b meets columns 0..b-1; the top one has degree 2b-2
 # (leading coefficient 1) in PTdown and 2b-1 (leading coefficient 2) in QTdown00
-def _ptdown_rows(b: int) -> int:
-    return max(2 * b - 1, 0)
-
-
-def _qtdown00_rows(b: int) -> int:
-    return 2 * b
-
-
-_STAGE_PTDOWN = _matrix_stage("PTdown", (SECOND, 1), finsupp_rows=_ptdown_rows)
-_STAGE_QTDOWN00 = _matrix_stage("QTdown00", (SECOND, -1), finsupp_rows=_qtdown00_rows)
+_STAGE_PTDOWN = _matrix_stage("PTdown", (SECOND, 1), support=lambda b: max(2 * b - 1, 0))
+_STAGE_QTDOWN00 = _matrix_stage("QTdown00", (SECOND, -1), support=lambda b: 2 * b)
 _STAGE_QDOWN = _matrix_stage("Qdown", (FIRST, 1))
 _STAGE_ZERO_TOP_PDOWN = _matrix_stage("[0;Pdown]", (FIRST, -1))
 
-_STAGE_T42A = Stage("(J(1)+J(0))^T", lambda s, m: t42a(s), domain=(SECOND, 1))
-_STAGE_T42B = Stage("J(2)^-1·J(0)", lambda s, m: t42b(s, m), domain=(SECOND, -1))
-_STAGE_T42C = Stage(
-    "(-J(-2)^-1)^T·J(0)^T", lambda s, m: t42c(s), domain=(FIRST, 1)
-)
-_STAGE_T42D = Stage("J(0)+J(-1)", lambda s, m: t42d(s), domain=(FIRST, -1))
-
-
-# id of a stage -> support bound of its image of a FinSupp of support bound
-# b.  The other stages map a FinSupp to a lazy image, which grows no further.
-# Keyed by id, as these stages live as long as the module: a Stage hashes
-# all its fields, which made every Pipeline.apply ~8% slower.
-_FINSUPP_SUPPORT = {
-    id(_STAGE_PTDOWN): _ptdown_rows,
-    id(_STAGE_QTDOWN00): _qtdown00_rows,
-    id(_STAGE_T42A): lambda b: b + 1 if b else 0,  # x_n + 2 x_{n-1}
-    id(_STAGE_T42B): lambda b: max(b - 1, 0),  # J(2)^-1 keeps the support of the shifted x
-    id(_STAGE_T42D): lambda b: b,  # 2 x_{n+1} - x_n
-}
+_STAGE_T42A = Stage("(J(1)+J(0))^T", lambda s, m: t42a(s), domain=(SECOND, 1),
+                    support=lambda b: b + 1 if b else 0)  # x_n + 2 x_{n-1}
+# J(2)^-1 keeps the support of the shifted x
+_STAGE_T42B = Stage("J(2)^-1·J(0)", lambda s, m: t42b(s, m), domain=(SECOND, -1),
+                    support=lambda b: max(b - 1, 0))
+_STAGE_T42C = Stage("(-J(-2)^-1)^T·J(0)^T", lambda s, m: t42c(s), domain=(FIRST, 1))
+_STAGE_T42D = Stage("J(0)+J(-1)", lambda s, m: t42d(s), domain=(FIRST, -1),
+                    support=lambda b: b)  # 2 x_{n+1} - x_n
 
 # The largest support a pipeline may reach from a FinSupp input of at most
 # half as many terms.  phitilde(N) doubles the support L of a FinSupp every
