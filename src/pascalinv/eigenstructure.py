@@ -41,11 +41,7 @@ def _n_entry(i: int, j: int) -> int:
 
 
 def _m_entry(i: int, j: int) -> int:
-    if i == 0 or j == 0:
-        return 1 if i == j else 0
-    if i > j:
-        return 0
-    return comb(j // 2, j - i)  # 0 once j - i > j // 2
+    return binomial(j // 2, j - i)  # 0 below the diagonal and once j - i > j // 2
 
 
 def make_N() -> TriOp:

@@ -17,7 +17,7 @@ blocks, and ``ROWS`` builds each pair's row rule for ``sequences._row_sums``.
 """
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import gcd
 from typing import Callable, Optional
 
@@ -122,8 +122,6 @@ def _rows(rd: tuple) -> Callable:
 
 def _times(xs: list, poly: tuple, m: int) -> list:
     """xs · poly mod z**m, for len(xs) >= m."""
-    if poly == _ONE:
-        return xs[:m]
     c, *rest = poly
     out = xs[:m] if c == 1 else [c * x for x in xs[:m]]
     for k, c in enumerate(rest, 1):
@@ -138,10 +136,6 @@ def _over(xs: list, den: tuple) -> list:
         return xs
     if den == _LESS_Z:
         return list(accumulate(xs))
-    if len(den) == 2:
-        # out_i = lead * (x_i - c * out_{i-1}), one running accumulate
-        lead, c = den
-        return list(islice(accumulate(xs, lambda o, x: lead * (x - c * o), initial=0), 1, None))
     lead, tail = den[0], den[1:]
     out: list = []
     for i, x in enumerate(xs):

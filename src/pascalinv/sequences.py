@@ -401,11 +401,7 @@ def apply_finite(op: TriOp, seq: Seq, depth: int) -> list:
         raise InfiniteSumError(
             f"{op.label} has unbounded upper band; use apply_upper"
         )
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if not depth:
-        return []
-    return _row_sums(op, seq._nums(depth + op.band.above), depth).terms()
+    return _image(op, seq).prefix(depth)
 
 
 def _row_sums(op: TriOp, xs: list, depth: int) -> list:

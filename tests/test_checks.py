@@ -36,6 +36,11 @@ def test_run_suite_stops_at_the_first_failing_case(monkeypatch):
     assert result.elapsed_ms >= 0
 
 
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="^unknown suite 'nope'; choose from"):
+        run_suite("nope", RunConfig())
+
+
 @pytest.mark.parametrize("check, entry", [("NM-identity", "_mn_entry"),
                                           ("block-diag", "_mdpn_entry")])
 def test_similarity_checks_read_every_column_of_the_block(check, entry, monkeypatch):
@@ -92,6 +97,8 @@ def test_stabilization_at_the_largest_m_decides_every_smaller_one(top):
     for depth in (2 * top, 2 * top + 1):
         passed = all(check_stabilization(RunConfig(depth=depth)))
         assert passed == all(_chain_matches_closed_form(m) for m in range(1, top + 1))
+    # below depth 2 there is no chain to compare
+    assert list(check_stabilization(RunConfig(depth=1))) == []
 
 
 @pytest.mark.parametrize("case, name", enumerate(("t42c", "t42d", "t42a", "t42b")))

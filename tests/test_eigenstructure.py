@@ -88,6 +88,8 @@ def test_factor_chains_stabilise():
         s = 2 * m
         assert truncate(factor_chain("H", m), s, s) == truncate(make_N(), s, s)
         assert truncate(factor_chain("U", m), s, s) == truncate(make_M(), s, s)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        factor_chain("H", 0)
 
 
 def test_factor_inverse_pair():

@@ -176,6 +176,15 @@ def test_lin_comb_examples():
     assert all(jm.entry(n, n) == -1 for n in range(5))
 
 
+@pytest.mark.parametrize("build, text", [
+    (lambda: lin_comb(1, make_operator("P"), 1, make_operator("PT")), "TriOp('P+P^T', general)"),
+    (lambda: delete_leading(make_operator("PT"), 0, 2), "TriOp('P^T(0|2)', upper-banded)"),
+    (lambda: make_operator("J", 1), "TriOp('J(1)', banded)"),
+])
+def test_repr_names_the_band_shape(build, text):
+    assert repr(build()) == text
+
+
 def test_compose_inverse_identities():
     a, j1 = make_operator("A"), make_operator("J", 1)
     assert truncate(compose(a, j1), 8, 8) == DenseMat.identity(8)

@@ -122,7 +122,7 @@ def test_reduce_cancels_a_common_factor_exactly():
 
 
 def test_division_by_a_degree_one_denominator_is_the_series_quotient():
-    # (lead, c) with lead = ±1 takes one running accumulate; 1 - z its plain prefix sum
+    # 1 - z takes its plain prefix sum; every other (±1, c) the general recurrence
     rng = random.Random("over")
     dens = [(1, -1), (1, 1), (-1, 1), (-1, -1), (1, -32), (-1, 5), (1, 0)]
     for den in dens:

@@ -124,6 +124,8 @@ def test_rational_equivalence_and_hash():
     assert simplify(x) == Fraction(3, 2)
     assert isinstance(simplify(x), Fraction)
     assert simplify(TAU1) is TAU1
+    with pytest.raises(ValueError, match="√5 is irrational"):
+        QuadExt(0, 1, 5).to_fraction()
 
 
 def test_truth_value_is_nonzero():

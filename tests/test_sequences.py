@@ -27,6 +27,7 @@ from pascalinv.sequences import (
     FinSupp,
     KSeq,
     Lazy,
+    Seq,
     _row_sums,
     apply_finite,
     apply_upper,
@@ -170,6 +171,11 @@ def test_summation_error_taxonomy():
         apply_upper(ptd(), Lazy(lambda n: n))
     with pytest.raises(ValueError):
         apply_upper(ptd(), unit(1), "nonsense")
+    # a general operator has neither band: no finite sum, and no closed rule
+    with pytest.raises(InfiniteSumError):
+        apply_upper(lin_comb(1, make_operator("P"), 1, make_operator("PT")), FinSupp([1]))
+    with pytest.raises(UnsupportedSequenceError, match="^no geometric closed rule for P\\^T$"):
+        apply_upper(make_operator("PT"), lucas())
 
 
 def test_jinv_rules():
@@ -290,6 +296,8 @@ def test_check_invariance_neither():
         check_invariance(Bernoulli(), "second", 8)
     with pytest.raises(ValueError):
         check_invariance(lucas(), "third", 8)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        check_invariance(lucas(), "first", 0)
 
 
 @given(small_finsupps)
@@ -313,6 +321,16 @@ def test_lazy_oracle_first_kind_check():
     assert check_invariance(seq, "first", 32).verdict == "invariant"
     with pytest.raises(UnsupportedSequenceError):
         check_invariance(seq, "second", 8)
+
+
+def test_a_seq_subclass_defining_only_term_gets_prefix_and_a_verdict():
+    class Halves(Seq):
+        def term(self, n):
+            return Fraction(1, 2 ** n)
+
+    # sum_k C(n, k) (-1)^k 2^-k = (1 - 1/2)^n: invariant of the first kind
+    assert Halves().prefix(4) == [1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+    assert check_invariance(Halves(), "first", 16).verdict == "invariant"
 
 
 def test_memoisation_is_thread_safe():
@@ -437,6 +455,11 @@ def test_kernels_evaluate_each_index_once():
     apply_finite(make_operator("J", 2), seq, 20)
     assert sorted(seq.calls) == list(range(21))
     assert max(seq.calls.values()) == 1
+
+    # a depth-0 prefix reads no input term, not even the band's lookahead
+    seq = CountingLazy(lambda n: Fraction(1, n + 1))
+    assert apply_finite(make_operator("J", 2), seq, 0) == []
+    assert not seq.calls
 
     fib = fibonacci()
     seq = CountingLazy(lambda n: n * fib.term(n - 1) if n else 0)

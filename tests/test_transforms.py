@@ -228,6 +228,9 @@ def test_orthogonality_examples():
     y = basis_vector(EigenSpaceId("PTD", 1), 3)
     assert orthogonality(x, y) == 0
     assert orthogonality(unit(0), unit(0)) == 1
+    # a finitely supported first operand is summed as the second
+    x, y = FinSupp([1, 2, 3]), Lazy(lambda n: n + 1)
+    assert orthogonality(x, y) == orthogonality(y, x) == 1 - 4 + 9
 
 
 def test_orthogonality_closed_form():

@@ -19,14 +19,16 @@ that an earlier one took.
 
 It prints one row per package function (``def`` functions and methods,
 nested ones too) with the workloads that enter it, then the functions that
-no workload enters, each marked when only the import runs it, then the lines
-of the package that the decks run.
+no workload enters, each marked when only the import runs it, then the
+lines that no workload runs inside the functions that some workload enters,
+then the lines of the package that the decks run.
 """
 from __future__ import annotations
 
 import contextlib
 import importlib
 import inspect
+import linecache
 import os
 import sys
 import tempfile
@@ -40,8 +42,8 @@ IMPORT = "import"
 
 
 def functions() -> dict:
-    """(file, first line, name) -> qualified name ``module.Class.func`` for
-    every ``def`` of the package, read from the compiled sources."""
+    """(file, first line, name) -> (qualified name ``module.Class.func``, code
+    object) for every ``def`` of the package, read from the compiled sources."""
     out = {}
 
     def walk(code: CodeType, prefix: str, module: str, path: str):
@@ -51,7 +53,7 @@ def functions() -> dict:
             name = prefix + c.co_name
             is_def = c.co_flags & inspect.CO_OPTIMIZED and not c.co_name.startswith("<")
             if is_def:
-                out[(path, c.co_firstlineno, c.co_name)] = f"{module}.{name}"
+                out[(path, c.co_firstlineno, c.co_name)] = (f"{module}.{name}", c)
             walk(c, name + (".<locals>." if c.co_flags & inspect.CO_OPTIMIZED else "."), module, path)
 
     for path in sorted(PKG.glob("*.py")):
@@ -129,10 +131,36 @@ def report(t: LineTrace) -> list:
     """(qualified name, labels that enter it) per package function, in file
     and line order."""
     rows = []
-    for key, name in sorted(functions().items()):
+    for key, (name, _) in sorted(functions().items()):
         labels = t.entered.get(key, set())
         rows.append((name, [w for w in (IMPORT, *t.workloads) if w in labels]))
     return rows
+
+
+def _lines(code: CodeType) -> set:
+    """The lines of a function's own code and of the lambdas and
+    comprehensions inside it, but for its first line, which runs no
+    statement of the body (a ``def`` or a decorator)."""
+    out = set()
+    todo = [code]
+    while todo:
+        c = todo.pop()
+        out.update(line for _, _, line in c.co_lines() if line is not None)
+        todo += [k for k in c.co_consts if isinstance(k, CodeType) and k.co_name.startswith("<")]
+    return out - {code.co_firstlineno}
+
+
+def unrun(t: LineTrace) -> list:
+    """(qualified name, line, source) for each line that no workload runs in
+    a function that some workload enters, in file and line order."""
+    out = []
+    for key, (name, code) in sorted(functions().items()):
+        if not t.entered.get(key, set()) - {IMPORT}:
+            continue
+        for line in sorted(_lines(code)):
+            if not t.lines.get((key[0], line), set()) - {IMPORT}:
+                out.append((name, line, linecache.getline(key[0], line).strip()))
+    return out
 
 
 def main() -> int:
@@ -145,6 +173,10 @@ def main() -> int:
     print(f"\nentered by no workload: {len(idle)} of {len(rows)} functions")
     for name, labels in idle:
         print(f"  {name}{' (import only)' if labels else ''}")
+    cold = unrun(t)
+    print(f"\nrun by no workload in a function some workload enters: {len(cold)} lines")
+    for name, line, source in cold:
+        print(f"  {name}:{line}  {source}")
     run = [labels for labels in t.lines.values() if set(labels) - {IMPORT}]
     print(f"\nlines run by the decks: {len(run)}")
     for w in t.workloads:
