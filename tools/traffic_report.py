@@ -127,11 +127,11 @@ def trace() -> LineTrace:
     return t
 
 
-def report(t: LineTrace) -> list:
-    """(qualified name, labels that enter it) per package function, in file
-    and line order."""
+def report(t: LineTrace, fns: dict) -> list:
+    """(qualified name, labels that enter it) per package function of fns
+    (from :func:`functions`), in file and line order."""
     rows = []
-    for key, (name, _) in sorted(functions().items()):
+    for key, (name, _) in sorted(fns.items()):
         labels = t.entered.get(key, set())
         rows.append((name, [w for w in (IMPORT, *t.workloads) if w in labels]))
     return rows
@@ -150,11 +150,11 @@ def _lines(code: CodeType) -> set:
     return out - {code.co_firstlineno}
 
 
-def unrun(t: LineTrace) -> list:
+def unrun(t: LineTrace, fns: dict) -> list:
     """(qualified name, line, source) for each line that no workload runs in
-    a function that some workload enters, in file and line order."""
+    a function of fns that some workload enters, in file and line order."""
     out = []
-    for key, (name, code) in sorted(functions().items()):
+    for key, (name, code) in sorted(fns.items()):
         if not t.entered.get(key, set()) - {IMPORT}:
             continue
         for line in sorted(_lines(code)):
@@ -165,7 +165,8 @@ def unrun(t: LineTrace) -> list:
 
 def main() -> int:
     t = trace()
-    rows = report(t)
+    fns = functions()
+    rows = report(t, fns)
     print("function | workloads")
     for name, labels in rows:
         print(f"{name} | {' '.join(w for w in labels if w != IMPORT)}")
@@ -173,7 +174,7 @@ def main() -> int:
     print(f"\nentered by no workload: {len(idle)} of {len(rows)} functions")
     for name, labels in idle:
         print(f"  {name}{' (import only)' if labels else ''}")
-    cold = unrun(t)
+    cold = unrun(t, fns)
     print(f"\nrun by no workload in a function some workload enters: {len(cold)} lines")
     for name, line, source in cold:
         print(f"  {name}:{line}  {source}")
