@@ -193,18 +193,17 @@ def check_orthogonality(cfg: RunConfig):
             yield tr.orthogonality(x, y, cfg.depth) == 0
     for base, sign in (("P+D", -1), ("P-D", 1)):
         y = eig.basis_vector(eig.EigenSpaceId("PTD", sign), 2)
-        yield tr.converse_check(y, base, min(cfg.depth, 24))
+        yield tr.converse_check(y, base, cfg.depth)
 
 
 def check_pipeline_classes(cfg: RunConfig):
     rng = random.Random(cfg.seed + 3)
-    dep = min(cfg.depth, 24)
     for build, variant, n in product((tr.build_phi, tr.build_psi), ("plain", "tilde"), (1, 2, 3)):
         pipe = build(n, variant)
         kind, sign = pipe.output_class()
         for _ in range(3):
             y = pipe.apply(_random_finsupp(rng, max_len=5), cfg.mode)
-            yield in_eigenspace(y, kind, sign, dep, cfg.mode)
+            yield in_eigenspace(y, kind, sign, cfg.depth, cfg.mode)
 
 
 SUITES = {

@@ -4,30 +4,16 @@ Each subcommand takes ``--format`` and, of ``--depth``, ``--mode`` and
 ``--seed``, only those it reads (see ``build_parser``); ``check``, ``verify``
 and ``oeis`` print no ``csv``.  Any other flag is a usage error.
 
-Exit codes, for every subcommand:
-
-====  ==========================================================
-code  meaning
-====  ==========================================================
-0     success (``check``: invariant)
-1     ``verify``: a check failed; ``oeis``: the lookup failed
-      (network error, or an ``--offline`` cache miss); any
-      command: stdout was closed before all output was written
-2     parse or usage error, a depth below 2, a ``--depth``,
-      ``--rows`` or ``--cols`` above ``sys.maxsize``, a
-      request that runs out of memory, a non-integer prefix
-      given to ``oeis``, an ``apply`` pipeline nested too
-      deeply to evaluate (Python's recursion limit), or an
-      ``apply`` pipeline that would grow a ``finsupp`` input
-      past the support cap (``transforms.SUPPORT_CAP``)
-3     ``check``: inverse invariant
-4     ``check``: neither
-5     summation error
-====  ==========================================================
-
-Each subcommand imports only the library modules it runs: ``transforms``
-for pipelines, ``eigenstructure`` for the matrices it defines, ``checks``
-for ``verify`` and ``oeis`` for ``oeis``.
+The README's "CLI" section lists every exit code.  ``check`` exits with its
+verdict's code (``_VERDICT_EXIT``) and ``verify`` with 1 when a check fails.
+``main`` maps each error class a subcommand raises to its exit code and stderr
+lead (``_ERROR_EXITS``); a size out of range, a request that runs out of
+memory and stdout closed early have their own branches there, and ``apply``
+refuses a pipeline nested past the recursion limit itself.  Each subcommand
+builds its JSON payload and text lines and prints them through ``_show``, and
+imports only the library modules it runs: ``transforms`` for pipelines,
+``eigenstructure`` for the matrices it defines, ``checks`` for ``verify`` and
+``oeis`` for ``oeis``.
 """
 from __future__ import annotations
 
@@ -39,7 +25,13 @@ import sys
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-from .errors import PascalinvError, SupportCapError
+from .errors import (
+    CacheMissError,
+    NetworkError,
+    NonIntegerSequenceError,
+    PascalinvError,
+    SupportCapError,
+)
 from .operators import _NAMED, make_operator, truncate
 from .scalars import QuadExt, format_scalar, parse_scalar, scalar_to_json
 from .sequences import (
@@ -94,38 +86,37 @@ def parse_sequence(text: str) -> Seq:
         items = inner.split(",") if inner else []
         if not all(t.strip() for t in items):
             raise LiteralError(f"empty item in finsupp literal: {text!r}")
-        try:
-            terms = [parse_scalar(t) for t in items]
-        except ValueError as exc:
-            raise LiteralError(str(exc)) from exc
-        _check_one_field(terms)
-        return FinSupp(terms)
+        return FinSupp(_scalars(items))
     if s.startswith("geom:"):
         body = s[len("geom:"):].strip()
         pairs = re.findall(r"\(([^()]*)\)", body)
         leftover = re.sub(r"\(([^()]*)\)", "", body).replace("+", "").strip()
         if not pairs or leftover:
             raise LiteralError(f"geom literal needs (c,r)+(c,r)+...: {text!r}")
-        parsed = []
-        for p in pairs:
-            bits = p.split(",")
-            if len(bits) != 2:
-                raise LiteralError(f"geom pair needs two scalars: ({p})")
-            try:
-                parsed.append((parse_scalar(bits[0]), parse_scalar(bits[1])))
-            except ValueError as exc:
-                raise LiteralError(str(exc)) from exc
-        _check_one_field([x for pair in parsed for x in pair])
-        return ExpComb(tuple(parsed))
+        # a generator, so each pair's scalars are read before the next pair is split
+        scalars = _scalars(x for p in pairs for x in _geom_pair(p))
+        return ExpComb(tuple(zip(scalars[::2], scalars[1::2])))
     raise LiteralError(f"unknown sequence literal: {text!r}")
 
 
-def _check_one_field(scalars) -> None:
-    """Irrational scalars of one literal must share a quadratic field."""
+def _geom_pair(p: str) -> list:
+    bits = p.split(",")
+    if len(bits) != 2:
+        raise LiteralError(f"geom pair needs two scalars: ({p})")
+    return bits
+
+
+def _scalars(items) -> list:
+    """The scalars of a literal's items; its irrational ones must share a quadratic field."""
+    try:
+        scalars = [parse_scalar(t) for t in items]
+    except ValueError as exc:
+        raise LiteralError(str(exc)) from exc
     roots = sorted({x.d for x in scalars if isinstance(x, QuadExt) and not x.is_rational})
     if len(roots) > 1:
         fields = " with ".join(f"Q(√{d})" for d in roots)
         raise LiteralError(f"cannot mix {fields} in one sequence")
+    return scalars
 
 
 _PIPE_TOKEN = re.compile(r"^(phi|phitilde|psi|psitilde)\((\d+)\)$")
@@ -191,34 +182,37 @@ def _class_phrase(cls) -> str:
     return f"{word} of the {kind} kind"
 
 
-def _emit_terms(label: str, terms, fmt: str, announcement=None) -> None:
+def _row(terms) -> str:
+    return ",".join(format_scalar(t) for t in terms)
+
+
+def _json_row(terms) -> list:
+    return [scalar_to_json(t) for t in terms]
+
+
+def _show(fmt: str, payload, pretty, csv=None) -> None:
+    """Print one result: ``payload()`` as a JSON line, or the text lines that
+    ``pretty()`` or, for ``csv``, ``csv()`` returns (``pretty()`` when ``csv``
+    is None).  Each form is a function, so only the one printed is built."""
     if fmt == "json":
-        payload = {"label": label, "terms": [scalar_to_json(t) for t in terms]}
-        if announcement is not None:
-            payload["class"] = announcement
-        print(json.dumps(payload))
-        return
-    print(",".join(format_scalar(t) for t in terms))
-    if fmt == "pretty" and announcement is not None:
-        print(f"class: {announcement}")
+        print(json.dumps(payload()))
+    else:
+        print("\n".join((csv if csv and fmt == "csv" else pretty)()))
 
 
 def cmd_gen(args) -> int:
-    seq = parse_sequence(args.sequence)
-    _emit_terms(args.sequence, prefix(seq, args.depth), args.format)
+    terms = prefix(parse_sequence(args.sequence), args.depth)
+    _show(args.format, lambda: {"label": args.sequence, "terms": _json_row(terms)},
+          lambda: [_row(terms)])
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    seq = parse_sequence(args.sequence)
-    report = check_invariance(seq, args.kind, args.depth, args.mode)
-    if args.format == "json":
-        print(json.dumps(report.__dict__))
-    else:
-        msg = f"{report.verdict} (kind={report.kind}, depth={report.depth}, mode={report.mode})"
-        if report.first_failure is not None:
-            msg += f", first failure at index {report.first_failure}"
-        print(msg)
+    report = check_invariance(parse_sequence(args.sequence), args.kind, args.depth, args.mode)
+    msg = f"{report.verdict} (kind={report.kind}, depth={report.depth}, mode={report.mode})"
+    if report.first_failure is not None:
+        msg += f", first failure at index {report.first_failure}"
+    _show(args.format, lambda: report.__dict__, lambda: [msg])
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -231,11 +225,13 @@ def cmd_apply(args) -> int:
         # each stage nests the lazy images of the stages before it
         print(f"error: {len(pipe.steps)} stages nest past the recursion limit", file=sys.stderr)
         return EXIT_PARSE
-    except SupportCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     announcement = _class_phrase(pipe.output_class())
-    _emit_terms(pipe.describe(), terms, args.format, announcement)
+    _show(
+        args.format,
+        lambda: {"label": pipe.describe(), "terms": _json_row(terms), "class": announcement},
+        lambda: [_row(terms), f"class: {announcement}"],
+        lambda: [_row(terms)],
+    )
     return EXIT_OK
 
 
@@ -244,12 +240,8 @@ def cmd_matrix(args) -> int:
         raise LiteralError("--rows and --cols must be >= 1")
     op = resolve_matrix(args.name)
     block = truncate(op, args.rows, args.cols)
-    if args.format == "json":
-        print(json.dumps({"label": op.label, "entries": block.to_jsonable()}))
-    elif args.format == "csv":
-        print(block.to_csv())
-    else:
-        print(block)
+    _show(args.format, lambda: {"label": op.label, "entries": block.to_jsonable()},
+          lambda: [str(block)], lambda: [block.to_csv()])
     return EXIT_OK
 
 
@@ -258,35 +250,25 @@ def cmd_verify(args) -> int:
 
     cfg = RunConfig(depth=args.depth, mode=args.mode, seed=args.seed)
     results = run_suite(args.suite, cfg)
-    all_ok = all(r.passed for r in results)
-    if args.format == "json":
-        rows = [
-            {"name": r.name, "passed": r.passed, "depth": r.depth,
-             "elapsed_ms": round(r.elapsed_ms, 3), "detail": r.detail}
-            for r in results
-        ]
-        print(json.dumps({"suite": args.suite, "all_passed": all_ok, "results": rows}))
-    else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            tail = f": {r.detail}" if r.detail else ""
-            print(f"{status} {r.name} (depth={r.depth}, {r.elapsed_ms:.1f}ms){tail}")
-        print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+    passed = sum(r.passed for r in results)
+    all_ok = passed == len(results)
+    rows = [{"name": r.name, "passed": r.passed, "depth": r.depth,
+             "elapsed_ms": round(r.elapsed_ms, 3), "detail": r.detail} for r in results]
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name} (depth={r.depth}, {r.elapsed_ms:.1f}ms)"
+             + (f": {r.detail}" if r.detail else "") for r in results]
+    _show(args.format, lambda: {"suite": args.suite, "all_passed": all_ok, "results": rows},
+          lambda: lines + [f"{passed}/{len(results)} checks passed"])
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
 def cmd_table1(args) -> int:
     rows = {"B": prefix(Bernoulli(), 13), "DB": prefix(AltBernoulli(), 13), "K": prefix(KSeq(), 13)}
-    if args.format == "json":
-        print(
-            json.dumps(
-                {name: [scalar_to_json(v) for v in vals] for name, vals in rows.items()}
-            )
-        )
-        return EXIT_OK
-    for name, vals in rows.items():
-        line = ",".join(format_scalar(v) for v in vals)
-        print(line if args.format == "csv" else f"{name}: {line}")
+    _show(
+        args.format,
+        lambda: {name: _json_row(vals) for name, vals in rows.items()},
+        lambda: [f"{name}: {_row(vals)}" for name, vals in rows.items()],
+        lambda: [_row(vals) for vals in rows.values()],
+    )
     return EXIT_OK
 
 
@@ -294,32 +276,14 @@ def cmd_oeis(args) -> int:
     from . import oeis
 
     seq = parse_sequence(args.sequence)
-    try:
-        result = oeis.lookup(
-            seq, args.depth, offline=args.offline, cache_dir=args.cache_dir
-        )
-    except oeis.NonIntegerSequenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (oeis.NetworkError, oeis.CacheMissError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "prefix": result.query_prefix,
-                    "source": result.source,
-                    "matches": [{"id": i, "name": n} for i, n in result.matches],
-                }
-            )
-        )
-        return EXIT_OK
-    print(f"source: {result.source}")
-    for ident, name in result.matches:
-        print(f"{ident}  {name}")
-    if not result.matches:
-        print("no matches")
+    result = oeis.lookup(seq, args.depth, offline=args.offline, cache_dir=args.cache_dir)
+    matches = [{"id": ident, "name": name} for ident, name in result.matches]
+    _show(
+        args.format,
+        lambda: {"prefix": result.query_prefix, "source": result.source, "matches": matches},
+        lambda: [f"source: {result.source}"]
+        + ([f"{m['id']}  {m['name']}" for m in matches] or ["no matches"]),
+    )
     return EXIT_OK
 
 
@@ -378,9 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code and the stderr lead of each error class a subcommand may raise;
+# the first row whose class matches applies.
+_ERROR_EXITS = (
+    (LiteralError, EXIT_PARSE, "parse error"),
+    ((NetworkError, CacheMissError), EXIT_FAIL, "error"),
+    ((NonIntegerSequenceError, SupportCapError), EXIT_PARSE, "error"),
+    (PascalinvError, EXIT_SUMMATION, "summation error"),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if "depth" in args and args.depth < 2:
         print("depth must be >= 2", file=sys.stderr)
         return EXIT_PARSE
@@ -398,15 +371,13 @@ def main(argv=None) -> int:
         # so the flush at interpreter exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
-    except LiteralError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PascalinvError as exc:
-        print(f"summation error: {exc}", file=sys.stderr)
-        return EXIT_SUMMATION
     except MemoryError:
         print("error: not enough memory for this request", file=sys.stderr)
         return EXIT_PARSE
+    except (LiteralError, PascalinvError) as exc:  # every class of _ERROR_EXITS
+        code, lead = next((c, lead) for cls, c, lead in _ERROR_EXITS if isinstance(exc, cls))
+        print(f"{lead}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

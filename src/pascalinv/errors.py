@@ -61,3 +61,15 @@ class UnsupportedPairError(PascalinvError):
 class SupportCapError(PascalinvError):
     """A pipeline would grow a finitely supported input past
     ``transforms.SUPPORT_CAP`` terms and past twice its own support."""
+
+
+class NonIntegerSequenceError(PascalinvError):
+    """The sequence prefix contains non-integer terms."""
+
+
+class NetworkError(PascalinvError):
+    """The search service could not be reached."""
+
+
+class CacheMissError(PascalinvError):
+    """Offline lookup found nothing in the cache or fixtures."""

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import PascalinvError, Record
+from .errors import CacheMissError, NetworkError, NonIntegerSequenceError, Record
 from .scalars import QuadExt
 from .sequences import Seq, prefix
 
@@ -26,18 +26,6 @@ _RETRIES = 3
 _BACKOFF_S = 0.5
 # the longest file name most file systems take, in bytes
 _NAME_MAX = 255
-
-
-class NonIntegerSequenceError(PascalinvError):
-    """The sequence prefix contains non-integer terms."""
-
-
-class NetworkError(PascalinvError):
-    """The search service could not be reached."""
-
-
-class CacheMissError(PascalinvError):
-    """Offline lookup found nothing in the cache or fixtures."""
 
 
 class LookupResult(Record):

@@ -2,10 +2,12 @@ from itertools import islice
 
 import pytest
 
-from pascalinv import eigenstructure as eig, transforms
+from pascalinv import checks, eigenstructure as eig, transforms
 from pascalinv.checks import (
     SUITES,
     RunConfig,
+    check_orthogonality,
+    check_pipeline_classes,
     check_power_columns,
     check_stabilization,
     check_transform_orbit,
@@ -50,6 +52,23 @@ def test_similarity_checks_read_every_column_of_the_block(check, entry, monkeypa
     results = {r.name: r for r in run_suite("similarity", RunConfig(depth=24))}
     assert [name for name, r in results.items() if not r.passed] == [check]
     assert results[check].detail == "case 18"
+
+
+def test_membership_checks_read_the_full_depth(monkeypatch):
+    depths = []
+
+    def spy(real, at):
+        def wrapped(*args):
+            depths.append(args[at])
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(checks, "in_eigenspace", spy(checks.in_eigenspace, 3))
+    monkeypatch.setattr(transforms, "converse_check", spy(transforms.converse_check, 2))
+    cfg = RunConfig(depth=40)
+    assert all(check_orthogonality(cfg)) and all(check_pipeline_classes(cfg))
+    # two converse checks, then 36 pipeline outputs
+    assert depths == [40] * 38
 
 
 def test_power_columns_skip_prefixes_that_are_all_zero():

@@ -51,14 +51,25 @@ def _python(*args, env=(), stdout=subprocess.PIPE, timeout=120, preexec_fn=None)
 
 
 def test_gen_loads_no_heavy_module():
-    code = (
-        "import sys, pascalinv.cli\n"
-        "assert pascalinv.cli.main(['gen', 'fib', '--depth', '4']) == 0\n"
-        f"print(sorted(m for m in {HEAVY!r} if m in sys.modules))\n"
-    )
-    proc = _python("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0,1,1,2", "[]"]
+    # nor do check, table1, a plain matrix or a parse error: the CLI names the
+    # OEIS lookup errors, so they must not pull in the client
+    for argv, code, first_line in [
+        (["gen", "fib", "--depth", "4"], 0, "0,1,1,2"),
+        (["check", "lucas", "--kind", "first", "--depth", "8"], 0, "invariant (kind=first"),
+        (["table1"], 0, "B: 1,-1/2,1/6"),
+        (["matrix", "P", "--rows", "2", "--cols", "2"], 0, "1  0"),
+        (["gen", "finsupp:[1,"], 2, ""),
+    ]:
+        script = (
+            "import sys, pascalinv.cli\n"
+            f"code = pascalinv.cli.main({argv!r})\n"
+            f"print(code, sorted(m for m in {HEAVY!r} if m in sys.modules))\n"
+        )
+        proc = _python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        *lines, last = proc.stdout.splitlines()
+        assert last == f"{code} []", argv
+        assert (lines[0] if lines else "").startswith(first_line), argv
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,21 @@ def test_cli_oeis_offline(tmp_path, capsys, monkeypatch):
     assert "non-integer" in err
 
 
+def test_cli_network_error_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch):
+    from pascalinv.cli import main
+
+    def unreachable(query):
+        raise oeis.NetworkError("search failed after 3 attempts: unreachable")
+
+    monkeypatch.setattr(oeis, "_fetch", unreachable)
+    monkeypatch.delenv(oeis.FIXTURE_ENV, raising=False)
+    code = main(["oeis", "lucas", "--cache-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: search failed after 3 attempts: unreachable\n"
+
+
 def test_fetch_retries_then_wraps_transport_failure(monkeypatch):
     import urllib.request
 
