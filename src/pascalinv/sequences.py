@@ -144,12 +144,12 @@ class FinSupp(Seq, Record):
         n = len(ts)
         while n and ts[n - 1] == 0:
             n -= 1
-        if held:
+        if held and terms.den:  # a Nums with no denominator is the terms themselves
             ns, den = ts[:n], terms.den
-            g = gcd(den, *ns) if den else 1
+            g = gcd(den, *ns)
             vars(self)["_held"] = Nums([x // g for x in ns], den // g) if g > 1 else Nums(ns, den)
         else:
-            vars(self)["terms"] = ts[:n]
+            vars(self)["terms"] = tuple(ts[:n])
         vars(self)["support_bound"] = n
 
     terms = cached_property(lambda self: tuple(self._held.terms()))
@@ -321,14 +321,27 @@ def prefix(seq: Seq, depth: int) -> list:
     return seq.prefix(depth)
 
 
+def _mapped(seq: Seq, label: str, rows: Callable, ahead: int,
+            grow: Optional[Callable[[int], int]], pair: Optional[Callable] = None) -> Seq:
+    """The image of seq under a linear map given by its rule on the form:
+    ``rows(f, d)`` is rows 0..d-1 (or more) of the image of the sequence
+    whose ``Nums`` f holds its terms 0..d+ahead-1 (or more).  A ``FinSupp``
+    of support b maps to the ``FinSupp`` of ``rows`` to ``grow(b)``, which
+    bounds the image's support, when the map has ``grow``; an ``ExpComb``
+    maps pair by pair through ``pair(c, r)``, when the map has it; any other
+    input gives a lazy image."""
+    if grow is not None and isinstance(seq, FinSupp):
+        return FinSupp(rows(seq._held, grow(seq.support_bound)))
+    if pair is not None and isinstance(seq, ExpComb):
+        return ExpComb([pair(c, r) for c, r in seq.pairs])
+    return Lazy(label=label, rows=lambda d: rows(seq._nums(max(d + ahead, 0)), d))
+
+
 def seq_scale(c: Scalar, seq: Seq) -> Seq:
     if c == 0:
         return FinSupp(())
-    if isinstance(seq, FinSupp):
-        return FinSupp(scaled(c, seq._held))
-    if isinstance(seq, ExpComb):
-        return ExpComb([(c * cc, r) for cc, r in seq.pairs])
-    return Lazy(label="scaled", rows=lambda d: scaled(c, seq._nums(d)))
+    return _mapped(seq, "scaled", lambda f, d: scaled(c, f), 0, lambda b: b,
+                   lambda cc, r: (c * cc, r))
 
 
 def seq_add(x: Seq, y: Seq) -> Seq:
@@ -342,45 +355,32 @@ def seq_add(x: Seq, y: Seq) -> Seq:
 
 def shift_down(seq: Seq) -> Seq:
     """Drop the head: term'(n) = term(n + 1)."""
-    if isinstance(seq, FinSupp):
-        return FinSupp(seq._held.map(lambda ns: ns[1:]))
-    if isinstance(seq, ExpComb):
-        return ExpComb([(c * r, r) for c, r in seq.pairs])
-    return Lazy(label="shifted-down", rows=lambda d: seq._nums(d + 1).map(lambda ns: ns[1:]))
+    return _mapped(seq, "shifted-down", lambda f, d: f.map(lambda ns: ns[1:]), 1, lambda b: b,
+                   lambda c, r: (c * r, r))
 
 
 def shift_up(seq: Seq) -> Seq:
     """Prepend a zero: term'(0) = 0, term'(n) = term(n - 1)."""
-    if isinstance(seq, FinSupp):
-        return FinSupp(seq._held.map(lambda ns: [0, *ns]))
-    if isinstance(seq, ExpComb):
+    if isinstance(seq, ExpComb) and all(r != 0 for _, r in seq.pairs):
         # (c/r, r) is exact for n >= 1; it extends to n = 0 only when the
         # candidate value at 0 vanishes, otherwise fall back to a prefix rule
-        if all(r != 0 for _, r in seq.pairs):
-            cand = ExpComb([(exact_div(c, r), r) for c, r in seq.pairs])
-            if cand.term(0) == 0:
-                return cand
-    return Lazy(
-        label="shifted-up", rows=lambda d: seq._nums(max(d - 1, 0)).map(lambda ns: [0, *ns])
-    )
+        cand = ExpComb([(exact_div(c, r), r) for c, r in seq.pairs])
+        if cand.term(0) == 0:
+            return cand
+    return _mapped(seq, "shifted-up", lambda f, d: f.map(lambda ns: [0, *ns]), -1,
+                   lambda b: b + 1)
 
 
 def difference(seq: Seq, k: int = 1) -> Seq:
     """k-th forward difference, term'(n) = term(n+1) - term(n) applied k times."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = seq
     for _ in range(k):
-        out = _difference_once(out)
-    return out
-
-
-def _difference_once(seq: Seq) -> Seq:
-    if isinstance(seq, FinSupp):
-        return FinSupp(seq._held.map(lambda ns: differences(ns + [0])))
-    if isinstance(seq, ExpComb):
-        return ExpComb([(c * (r - 1), r) for c, r in seq.pairs])
-    return Lazy(label="difference", rows=lambda d: seq._nums(d + 1).map(differences))
+        # terms past a FinSupp's support read as zero; a longer prefix is cut
+        seq = _mapped(seq, "difference",
+                      lambda f, d: f.map(lambda ns: differences(_fit(ns, d + 1))), 1,
+                      lambda b: b, lambda c, r: (c * (r - 1), r))
+    return seq
 
 
 def newton_reconstruct(seq: Seq, depth: int) -> list:
@@ -450,30 +450,25 @@ def apply_upper(op: TriOp, seq: Seq, mode: str = CONTINUED) -> Seq:
 
     Banded operators evaluate pointwise on any sequence.  Unbounded upper
     operators accept finitely supported input (finite sums) and geometric
-    combinations, the latter through per-ratio closed rules known for the
-    signed transposed Pascal operator and for inverse Jordan blocks.
+    combinations, the latter through the per-ratio closed rules of
+    ``_PAIR_RULES``, known for the signed transposed Pascal operator and for
+    inverse Jordan blocks.
     """
     require_mode(mode)
-    band = op.band
-    if isinstance(seq, FinSupp) and band.below is not None:
-        return FinSupp(_row_sums(op, seq._held, seq.support_bound + band.below))
-    if band.above is not None:
-        return _image(op, seq)
+    below = op.band.below
+    if op.band.above is not None or (below is not None and isinstance(seq, FinSupp)):
+        return _image(op, seq, None if below is None else lambda b: b + below)
     if isinstance(seq, FinSupp):
         raise InfiniteSumError(f"{op.label} has no finite summation range")
-    if isinstance(seq, ExpComb):
-        if op.tag == ("PTD",):
-            return ExpComb([_ptd_pair(c, r, mode) for c, r in seq.pairs])
-        if op.tag and op.tag[0] == "Jinv":
-            a = op.tag[1]
-            return ExpComb([_jinv_pair(c, r, a, mode) for c, r in seq.pairs])
+    if not isinstance(seq, ExpComb):
         raise UnsupportedSequenceError(
-            f"no geometric closed rule for {op.label}"
+            f"{op.label} is unbounded upper; {_describe(seq)} input must be "
+            "finitely supported or a geometric combination"
         )
-    raise UnsupportedSequenceError(
-        f"{op.label} is unbounded upper; {_describe(seq)} input must be "
-        "finitely supported or a geometric combination"
-    )
+    rule = _PAIR_RULES.get(op.tag[0] if op.tag else None)
+    if rule is None:
+        raise UnsupportedSequenceError(f"no geometric closed rule for {op.label}")
+    return ExpComb([rule(c, r, mode, *op.tag[1:]) for c, r in seq.pairs])
 
 
 def require_mode(mode: str) -> None:
@@ -494,7 +489,7 @@ def _ptd_pair(c: Scalar, r: Scalar, mode: str) -> tuple:
     return (exact_div(c, denom), exact_div(-r, denom))
 
 
-def _jinv_pair(c: Scalar, r: Scalar, a: Scalar, mode: str) -> tuple:
+def _jinv_pair(c: Scalar, r: Scalar, mode: str, a: Scalar) -> tuple:
     if mode == CLASSICAL and not _abs_lt(r, a):
         raise DivergentSumError(
             f"classical sum diverges for ratio {r}: need |ratio| < |{a}|"
@@ -505,11 +500,15 @@ def _jinv_pair(c: Scalar, r: Scalar, a: Scalar, mode: str) -> tuple:
     return (exact_div(c, denom), r)
 
 
-def _image(op: TriOp, seq: Seq) -> Lazy:
-    """Lazy image of seq under an operator with finite lookahead: a prefix
-    reads the input prefix once and runs the kernel."""
-    return Lazy(label=f"{op.label}·seq",
-                rows=lambda depth: _row_sums(op, seq._nums(depth + op.band.above), depth))
+# the closed rule for one geometric pair (c, r), by operator tag head
+_PAIR_RULES = {"PTD": _ptd_pair, "Jinv": _jinv_pair}
+
+
+def _image(op: TriOp, seq: Seq, grow: Optional[Callable[[int], int]] = None) -> Seq:
+    """Image of seq under an operator with finite lookahead, or of a
+    ``FinSupp`` with ``grow`` under one with a finite lower band: a prefix
+    reads the input prefix once and runs the kernel (see :func:`_mapped`)."""
+    return _mapped(seq, f"{op.label}·seq", lambda f, d: _row_sums(op, f, d), op.band.above, grow)
 
 
 class InvarianceReport(Record):

@@ -27,6 +27,7 @@ from .sequences import (
     Seq,
     _abs_lt,
     _image,
+    _mapped,
     _row_sums,
     apply_upper,
     in_eigenspace,
@@ -69,11 +70,10 @@ def t42c(x: Seq) -> Seq:
         out.append((-spill, half))
         return ExpComb(out)
 
-    def rows(depth):
+    def rows(f, depth):
         # y_0 = 0, y_{n+1} = (y_n + x_n) / 2.  On numerators X_k over den, 2**n y_n
         # is the prefix sum S_n of 2**k X_k / den, so y_n = S_n 2**(m-n) / (den 2**m)
         m = max(depth - 1, 0)
-        f = x._nums(m)
         if f.den is None:
             out = [0] * depth
             for n, t in zip(range(m), f.ns):
@@ -82,7 +82,7 @@ def t42c(x: Seq) -> Seq:
         sums = accumulate(map(lshift, f.ns, range(m)), initial=0)
         return Nums(list(map(lshift, sums, range(m, -1, -1))), f.den << m)
 
-    return Lazy(label="halved-prefix-sum", rows=rows)
+    return _mapped(x, "halved-prefix-sum", rows, -1, None)
 
 
 def t42d(x: Seq) -> Seq:
@@ -175,13 +175,7 @@ class Pipeline(Record):
 def _matrix_stage(name, sets, support=None) -> Stage:
     """Projection onto the eigenspace ``sets`` through its spanning matrix."""
     op = BASIS_MATRICES[sets]()
-
-    def run(seq, mode):
-        if isinstance(seq, FinSupp) and support is not None:
-            return FinSupp(_row_sums(op, seq._held, support(seq.support_bound)))
-        return _image(op, seq)
-
-    return Stage(name, run, sets=sets, support=support)
+    return Stage(name, lambda seq, mode: _image(op, seq, support), sets=sets, support=support)
 
 
 # a FinSupp of support b meets columns 0..b-1; the top one has degree 2b-2

@@ -296,3 +296,18 @@ def test_apply_runs_a_linear_stage_on_a_finsupp_past_the_support_cap(capsys, sta
     code, out, err = run(capsys, "apply", stage, literal, "--depth", "4", "--format", "csv")
     assert code == 0, err
     assert out.strip() == first_terms
+
+
+_ONE_TERM_QUADRATIC = ["[sqrt5]", "[1+sqrt5]", "[sqrt2]", "[1/2sqrt5,0,0]", "[0,sqrt5]",
+                       "[sqrt5,-sqrt5]"]
+
+
+@pytest.mark.parametrize("pipeline", ["t42a", "t42b", "t42c", "t42d", "t42b;t42b"] + [
+    f"{name}({n})" for name in ("phi", "phitilde", "psi", "psitilde") for n in (1, 2, 3)])
+@pytest.mark.parametrize("literal", _ONE_TERM_QUADRATIC)
+def test_apply_on_finsupps_left_with_no_irrational_term_ends_in_an_exit_code(
+        capsys, literal, pipeline):
+    """A stage whose image of a Q(√d) FinSupp keeps no irrational term (as
+    the shift inside t42b on [sqrt5]) still ends in a documented code."""
+    code, out, err = run(capsys, "apply", pipeline, "finsupp:" + literal, "--depth", "4")
+    assert 0 <= code <= 5 and "Traceback" not in out + err, (code, err)

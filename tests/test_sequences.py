@@ -165,14 +165,14 @@ def test_summation_error_taxonomy():
         apply_upper(ptd(), geometric(1, -1), "classical")
     with pytest.raises(PoleError):
         apply_upper(ptd(), geometric(1, -1), "continued")
-    with pytest.raises(UnsupportedSequenceError):
+    with pytest.raises(UnsupportedSequenceError, match="is unbounded upper"):
         apply_upper(ptd(), Bernoulli())
-    with pytest.raises(UnsupportedSequenceError):
+    with pytest.raises(UnsupportedSequenceError, match="is unbounded upper"):
         apply_upper(ptd(), Lazy(lambda n: n))
     with pytest.raises(ValueError):
         apply_upper(ptd(), unit(1), "nonsense")
     # a general operator has neither band: no finite sum, and no closed rule
-    with pytest.raises(InfiniteSumError):
+    with pytest.raises(InfiniteSumError, match="has no finite summation range"):
         apply_upper(lin_comb(1, make_operator("P"), 1, make_operator("PT")), FinSupp([1]))
     with pytest.raises(UnsupportedSequenceError, match="^no geometric closed rule for P\\^T$"):
         apply_upper(make_operator("PT"), lucas())
@@ -224,6 +224,41 @@ def test_difference():
     assert prefix(difference(x, 1), 8) == prefix(lazy_diff, 8)
     f = FinSupp((1, 4, 0, 2))
     assert prefix(difference(f, 1), 6) == [3, -4, 2, -2, 0, 0]
+
+
+_SQRT5 = QuadExt(0, 1, 5)
+_LINEAR_MAPS = {
+    "scale": lambda s: seq_scale(Fraction(-3, 2), s),
+    "scale-sqrt5": lambda s: seq_scale(_SQRT5, s),
+    "shift-down": shift_down,
+    "shift-up": shift_up,
+    "difference": difference,
+    "difference-3": lambda s: difference(s, 3),
+    "J(2)": lambda s: apply_upper(make_operator("J", 2), s),
+    **{stage.name: lambda s, stage=stage: stage.run(s, "continued")  # the four projections
+       for stage in (build(1, variant).steps[0] for build in (build_phi, build_psi)
+                     for variant in ("plain", "tilde"))},
+    "t42c": t42c,
+}
+
+
+@pytest.mark.parametrize("x", [
+    FinSupp((Fraction(1, 2), -3, 0, Fraction(5, 3))),
+    FinSupp((1, _SQRT5, Fraction(-1, 3), 1 + _SQRT5)),
+    FinSupp((_SQRT5,)),
+    FinSupp((7,)),
+    FinSupp(()),
+], ids=["rational", "sqrt5", "one-term-sqrt5", "one-term", "empty"])
+@pytest.mark.parametrize("name", list(_LINEAR_MAPS))
+def test_finsupp_and_lazy_inputs_share_each_maps_rule(x, name):
+    """Each linear map gives a FinSupp and an oracle of its terms the same
+    image, read as one prefix or term by term (which grows a lazy image's
+    cache a few terms at a time)."""
+    image = _LINEAR_MAPS[name]
+    want = prefix(image(x), 12)
+    assert prefix(image(Lazy(oracle=x.term)), 12) == want
+    lazy = image(Lazy(oracle=x.term))
+    assert [lazy.term(n) for n in range(12)] == want
 
 
 def test_difference_commutes_with_shift():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pascalinv import transforms
+from pascalinv import sequences, transforms
 from pascalinv.eigenstructure import EigenSpaceId, basis_vector, ptdown, qtdown00
 from pascalinv.errors import DivergentSumError, PoleError, SupportCapError, UnsupportedPairError
 from pascalinv.scalars import QuadExt
@@ -72,6 +72,13 @@ def test_t42b_units_and_errors():
         t42b(geometric(1, 3), "classical")
     with pytest.raises(PoleError):
         t42b(geometric(1, -2))
+
+
+def test_t42b_of_a_one_term_quadratic_finsupp_is_zero():
+    # the shift leaves no term, irrational or not: the image holds the integer form
+    assert t42b(FinSupp([QuadExt(0, 1, 5)])) == FinSupp(())
+    out = t42b(FinSupp([QuadExt(1, 1, 5), 3]))
+    assert out == FinSupp((Fraction(3, 2),)) and out._held.den == 2
 
 
 def test_t42c_orbit():
@@ -334,8 +341,8 @@ def test_second_kind_projection_support_is_exact(variant, bound, monkeypatch):
         depths.append(depth)
         return row_sums(op, xs, depth)
 
-    row_sums = transforms._row_sums
-    monkeypatch.setattr(transforms, "_row_sums", counting)
+    row_sums = sequences._row_sums
+    monkeypatch.setattr(sequences, "_row_sums", counting)
     pipe = build_phi(1, variant)
     op = ptdown() if variant == "plain" else qtdown00()
     rng = random.Random(variant)
