@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from operator import add, neg
 
 from . import eigenstructure as eig
 from . import transforms as tr
@@ -106,15 +107,36 @@ def check_block_diag(cfg: RunConfig):
     yield from eig.block_diag_columns(cfg.depth)
 
 
+def _times_h1(v: list) -> list:
+    """The row v times H(1) = [1] ⊕ A: entry 0 kept, then from column 1 the
+    running alternating sums t_j = v_j - t_(j-1)."""
+    w = v[1:]
+    w[1::2] = map(neg, w[1::2])
+    t = list(accumulate(w))
+    t[1::2] = map(neg, t[1::2])
+    return [v[0], *t]
+
+
 def check_stabilization(cfg: RunConfig):
-    # H(k) and U(k) are the identity below index 2k-1, so every smaller chain
-    # is the top-left corner of the chain at the largest m
-    m = min(6, cfg.depth // 2)
-    if m < 1:
+    # N = (I_2 ⊕ N)·H(1) row by row of N (cases 0..d-1), then
+    # M = U(1)·(I_2 ⊕ M) column by column of M (cases d..2d-1), on the d×d
+    # block; by induction on m this is H(m)⋯H(1) = N and U(1)⋯U(m) = M on the
+    # 2m×2m corner for every 2m <= d (see README)
+    s = cfg.depth
+    if s < 2:
         return
-    s = 2 * m
-    for kind, closed in (("H", eig.make_N), ("U", eig.make_M)):
-        yield truncate(eig.factor_chain(kind, m), s, s) == truncate(closed(), s, s)
+    units = ([1] + [0] * s, [0, 1] + [0] * (s - 1))  # e_0 and e_1, s + 1 long
+    back, last = units  # rows r-2 and r-1 of I_2 ⊕ N
+    for r in range(s):
+        row = eig.n_row(r, s)
+        yield _times_h1(back[:s]) == row
+        back, last = last, [0, 0, *row]
+    back, last = units  # columns j-2 and j-1 of I_2 ⊕ M, one row past the block
+    for j in range(s):
+        col = eig.m_column(j, s)
+        # U(1) = [1] ⊕ J(1) adds entry i+1 to entry i from i = 1 on
+        yield [back[0], *map(add, back[1:s], back[2:])] == col
+        back, last = last, [0, 0, *col]
 
 
 def check_basis_eigen(cfg: RunConfig):

@@ -54,6 +54,30 @@ def make_M() -> TriOp:
     return TriOp(UPPER, _m_entry, "M", ("M",))
 
 
+def n_row(r: int, s: int) -> list:
+    """Columns 0..s-1 of row r < s of N by its row rule: row 0 is e_0, and row
+    r >= 1 holds (-1)^m C(k+m, k) at column r+m, k = (r-1)//2, each entry
+    stepped from the one before by one multiply and one exact divide."""
+    if r == 0:
+        return [1] + [0] * (s - 1)
+    k, c, row = (r - 1) // 2, 1, [0] * r
+    for m in range(s - r):
+        row.append(c)
+        c = -c * (k + m + 1) // (m + 1)
+    return row
+
+
+def m_column(j: int, s: int) -> list:
+    """Rows 0..s-1 of column j < s of M by its column rule
+    z^⌈j/2⌉ (1+z)^⌊j/2⌋: C(n, t) at row j-n+t, n = j//2, stepped down the column."""
+    n = j // 2
+    col, c = [0] * (j - n), 1
+    for t in range(min(n + 1, s - j + n)):
+        col.append(c)
+        c = c * (n - t) // (t + 1)
+    return col + [0] * (s - len(col))
+
+
 def make_factor(kind: str, k: int) -> TriOp:
     """Factor H(k) or U(k): the identity below index 2k-1, then an A or J(1) block.
 

@@ -120,6 +120,40 @@ def test_stabilization_at_the_largest_m_decides_every_smaller_one(top):
     assert list(check_stabilization(RunConfig(depth=1))) == []
 
 
+@pytest.mark.parametrize("rule, k, at, case", [
+    ("n_row", 20, 30, 20),  # row 20 of N, column 30
+    ("n_row", 25, 3, 25),  # below the diagonal of row 25
+    ("m_column", 30, 20, 32 + 30),  # column 30 of M, row 20
+    ("m_column", 30, 31, 32 + 30),  # below the diagonal of column 30
+])
+def test_stabilization_reads_the_whole_block(rule, k, at, case, monkeypatch):
+    # every perturbed entry lies outside the 12x12 corner that stabilization
+    # once read; rows of N are cases 0..31 and columns of M cases 32..63
+    real = getattr(eig, rule)
+
+    def perturbed(j, s):
+        out = real(j, s)
+        out[at] += j == k
+        return out
+
+    monkeypatch.setattr(eig, rule, perturbed)
+    results = {r.name: r for r in run_suite("similarity", RunConfig(depth=32))}
+    assert [name for name, r in results.items() if not r.passed] == ["stabilization"]
+    assert results["stabilization"].detail == f"case {case}"
+
+
+def test_stabilization_reads_no_closed_entry_and_no_factor_chain(monkeypatch):
+    def banned(*args):
+        raise AssertionError("read an entry or a factor chain")
+
+    for name in ("_n_entry", "_m_entry", "comb", "factor_chain", "make_factor"):
+        monkeypatch.setattr(eig, name, banned)
+    monkeypatch.setattr(checks, "truncate", banned)
+    for depth in (2, 3, 32, 65):
+        cases = list(check_stabilization(RunConfig(depth=depth)))
+        assert len(cases) == 2 * depth and all(cases)
+
+
 @pytest.mark.parametrize("case, name", enumerate(("t42c", "t42d", "t42a", "t42b")))
 def test_transform_orbit_names_a_broken_map(case, name, monkeypatch):
     monkeypatch.setattr(transforms, name, lambda x, *mode: x)

@@ -124,6 +124,13 @@ def test_closed_entries_match_the_block_products(s):
     assert conjugated == truncate(eig._conjugated_pd(), s, s)
 
 
+@pytest.mark.parametrize("s", range(1, 65))
+def test_row_and_column_rules_match_the_closed_entries(s):
+    assert DenseMat.from_rows([eig.n_row(r, s) for r in range(s)]) == truncate(make_N(), s, s)
+    columns = [eig.m_column(j, s) for j in range(s)]
+    assert DenseMat.from_rows([list(row) for row in zip(*columns)]) == truncate(make_M(), s, s)
+
+
 def test_block_diagonalization_is_sensitive():
     # perturbing a single entry of N must break the block structure
     real_n = make_N()

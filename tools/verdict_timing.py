@@ -17,11 +17,11 @@ Binet combination 2L - 3F (neither), L (invariant) and the lazy image
 for the finitely supported second-kind cases, ``PTD·(PTD·x) == x`` on a
 rational x of d/8 terms, and the ``phitilde(3)`` image of a 5-term rational
 x built and given its second-kind verdict inside the timed call; and the
-``NM-identity`` and ``block-diag`` checks at depth d, judged by
-``all(check(RunConfig(depth=d)))``.  The table
-gives the minimum over N rounds in µs per call, and base/checkout when BASE
-is given.  Both trees must then give each input the same result; the script
-exits 1 otherwise.
+``NM-identity``, ``block-diag`` and ``stabilization`` checks at depth d,
+judged by ``all(check(RunConfig(depth=d)))``.  The table gives the minimum
+over N rounds in µs per call, and base/checkout when BASE is given.  Both
+trees must then give each input the same result; the script exits 1
+otherwise.
 """
 from __future__ import annotations
 
@@ -95,6 +95,8 @@ def cases(pv):
         "Bernoulli()": first(pv.Bernoulli),
         "NM-identity": (checks.RunConfig, lambda cfg, d: all(checks.check_nm_identity(cfg))),
         "block-diag": (checks.RunConfig, lambda cfg, d: all(checks.check_block_diag(cfg))),
+        "stabilization": (checks.RunConfig,
+                          lambda cfg, d: all(checks.check_stabilization(cfg))),
     }
 
 
