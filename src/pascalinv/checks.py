@@ -126,12 +126,16 @@ def check_stabilization(cfg: RunConfig):
     if s < 2:
         return
     units = ([1] + [0] * s, [0, 1] + [0] * (s - 1))  # e_0 and e_1, s + 1 long
-    back, last = units  # rows r-2 and r-1 of I_2 ⊕ N
+    # back, last: rows r and r+1 of I_2 ⊕ N, that is rows r-2 and r-1 of N
+    # shifted right by two (e_0 and e_1 for r < 2)
+    back, last = units
     for r in range(s):
         row = eig.n_row(r, s)
         yield _times_h1(back[:s]) == row
         back, last = last, [0, 0, *row]
-    back, last = units  # columns j-2 and j-1 of I_2 ⊕ M, one row past the block
+    # back, last: columns j and j+1 of I_2 ⊕ M, that is columns j-2 and j-1
+    # of M shifted down by two, one row past the block
+    back, last = units
     for j in range(s):
         col = eig.m_column(j, s)
         # U(1) = [1] ⊕ J(1) adds entry i+1 to entry i from i = 1 on

@@ -55,24 +55,11 @@ def pair(op) -> Optional[tuple]:
     return right and _product(left, right)
 
 
-# (left, right) -> the pair of their product: the pairs are tuples of int
-# tuples, so they hash; at most _PRODUCTS_MAX of them, emptied when full
-_PRODUCTS: dict = {}
-_PRODUCTS_MAX = 256
-
-
 def _product(left: tuple, right: tuple) -> tuple:
-    """The pair of the matrix product left · right, computed once while kept."""
-    key = left, right
-    got = _PRODUCTS.get(key)
-    if got is None:
-        (d1, h1), (d2, h2) = left, right
-        num, den = _substitute(d2, h1)
-        got = (_reduce(_mul(d1[0], num), _mul(d1[1], den)), _reduce(*_substitute(h2, h1)))
-        if len(_PRODUCTS) >= _PRODUCTS_MAX:
-            _PRODUCTS.clear()
-        _PRODUCTS[key] = got
-    return got
+    """The pair of the matrix product left · right."""
+    (d1, h1), (d2, h2) = left, right
+    num, den = _substitute(d2, h1)
+    return (_reduce(_mul(d1[0], num), _mul(d1[1], den)), _reduce(*_substitute(h2, h1)))
 
 
 def _substitute(f: tuple, h: tuple) -> tuple:

@@ -305,38 +305,17 @@ def _ptd_rows(xs: list, depth: int) -> list:
     return sums
 
 
-def _jinv_ints(ns: list, a: Fraction) -> tuple:
-    """(zs, t) with J(a)^-1 times the int prefix ns equal to zs[i] / t: for
-    a = p/q, t = |p|**n and z_i = q (x_i t - z_{i+1}) / p, each step exact."""
-    p, q = a.numerator, a.denominator
-    n = len(ns)
-    t = abs(p) ** n
-    zs = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        zs[i] = q * (ns[i] * t - zs[i + 1]) // p
-    return zs[:n], t
-
-
 def _jinv_rows(xs: list, depth: int, a: Scalar):
     # back-substitution in J(a) y = x: y_i = (x_i - y_{i+1}) / a, zero from len(xs) on
     n = len(xs)
-    if isinstance(a, _RATIONAL):
-        if depth <= n and all(map(isinstance, xs, repeat(int))):
-            zs, t = _jinv_ints(xs, a)
-            return Nums(zs[:depth], t)
-        d = _field_label(xs)
-        if d is not None:
-            # the integer halves (A + B√d) / D of xs, each back-substituted; row
-            # i is a QuadExt when a QuadExt term lies at or past i, as its
-            # entry sum leaves it, else a Fraction (the entries are Fractions)
-            ns_a, ns_b, D = _joined([_halves(x) for x in xs])
-            (zs_a, t), (zs_b, _) = _jinv_ints(ns_a, a), _jinv_ints(ns_b, a)
-            last = max(k for k, x in enumerate(xs) if isinstance(x, QuadExt))
-            rows = [_quad(Fraction(za, D * t), Fraction(zb, D * t), d) if i <= last
-                    else Fraction(za, D * t)
-                    for i, (za, zb) in enumerate(zip(zs_a[:depth], zs_b))]
-            return rows + [0] * (depth - len(rows))
     ys = [0] * (max(depth, n) + 1)
+    if depth <= n and isinstance(a, _RATIONAL) and all(map(isinstance, xs, repeat(int))):
+        # a = p/q: y_i = z_i / t, t = |p|**n, z_i = q (x_i t - z_{i+1}) / p
+        p, q = a.numerator, a.denominator
+        t = abs(p) ** n
+        for i in range(n - 1, -1, -1):
+            ys[i] = q * (xs[i] * t - ys[i + 1]) // p
+        return Nums(ys[:depth], t)
     for i in range(n - 1, -1, -1):
         ys[i] = exact_div(xs[i] - ys[i + 1], a)
     return ys[:depth]

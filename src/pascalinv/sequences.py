@@ -321,7 +321,7 @@ def prefix(seq: Seq, depth: int) -> list:
     return seq.prefix(depth)
 
 
-def _mapped(seq: Seq, label: str | TriOp, rows: Callable, ahead: int,
+def _mapped(seq: Seq, label: str, rows: Callable, ahead: int,
             grow: Optional[Callable[[int], int]], pair: Optional[Callable] = None) -> Seq:
     """The image of seq under a linear map given by its rule on the form:
     ``rows(f, d)`` is rows 0..d-1 (or more) of the image of the sequence
@@ -329,51 +329,19 @@ def _mapped(seq: Seq, label: str | TriOp, rows: Callable, ahead: int,
     of support b maps to the ``FinSupp`` of ``rows`` to ``grow(b)``, which
     bounds the image's support, when the map has ``grow``; an ``ExpComb``
     maps pair by pair through ``pair(c, r)``, when the map has it; any other
-    input gives a lazy image, labelled ``label``, or ``"{op.label}·seq"``
-    when label is the operator op of an image."""
+    input gives a lazy image."""
     if grow is not None and isinstance(seq, FinSupp):
         return FinSupp(rows(seq._held, grow(seq.support_bound)))
     if pair is not None and isinstance(seq, ExpComb):
         return ExpComb([pair(c, r) for c, r in seq.pairs])
-    if isinstance(label, TriOp):
-        label = f"{label.label}·seq"
     return Lazy(label=label, rows=lambda d: rows(seq._nums(max(d + ahead, 0)), d))
-
-
-# the rules of the maps below that capture nothing
-def _same(b: int) -> int:
-    return b
-
-
-def _down_rows(f: Nums, d: int) -> Nums:
-    return f.map(lambda ns: ns[1:])
-
-
-def _down_pair(c: Scalar, r: Scalar) -> tuple:
-    return c * r, r
-
-
-def _up_rows(f: Nums, d: int) -> Nums:
-    return f.map(lambda ns: [0, *ns])
-
-
-def _up_grow(b: int) -> int:
-    return b + 1
-
-
-def _difference_rows(f: Nums, d: int) -> Nums:
-    # terms past a FinSupp's support read as zero; a longer prefix is cut
-    return f.map(lambda ns: differences(_fit(ns, d + 1)))
-
-
-def _difference_pair(c: Scalar, r: Scalar) -> tuple:
-    return c * (r - 1), r
 
 
 def seq_scale(c: Scalar, seq: Seq) -> Seq:
     if c == 0:
         return FinSupp(())
-    return _mapped(seq, "scaled", lambda f, d: scaled(c, f), 0, _same, lambda cc, r: (c * cc, r))
+    return _mapped(seq, "scaled", lambda f, d: scaled(c, f), 0, lambda b: b,
+                   lambda cc, r: (c * cc, r))
 
 
 def seq_add(x: Seq, y: Seq) -> Seq:
@@ -387,7 +355,8 @@ def seq_add(x: Seq, y: Seq) -> Seq:
 
 def shift_down(seq: Seq) -> Seq:
     """Drop the head: term'(n) = term(n + 1)."""
-    return _mapped(seq, "shifted-down", _down_rows, 1, _same, _down_pair)
+    return _mapped(seq, "shifted-down", lambda f, d: f.map(lambda ns: ns[1:]), 1, lambda b: b,
+                   lambda c, r: (c * r, r))
 
 
 def shift_up(seq: Seq) -> Seq:
@@ -398,7 +367,8 @@ def shift_up(seq: Seq) -> Seq:
         cand = ExpComb([(exact_div(c, r), r) for c, r in seq.pairs])
         if cand.term(0) == 0:
             return cand
-    return _mapped(seq, "shifted-up", _up_rows, -1, _up_grow)
+    return _mapped(seq, "shifted-up", lambda f, d: f.map(lambda ns: [0, *ns]), -1,
+                   lambda b: b + 1)
 
 
 def difference(seq: Seq, k: int = 1) -> Seq:
@@ -406,7 +376,10 @@ def difference(seq: Seq, k: int = 1) -> Seq:
     if k < 0:
         raise ValueError("k must be >= 0")
     for _ in range(k):
-        seq = _mapped(seq, "difference", _difference_rows, 1, _same, _difference_pair)
+        # terms past a FinSupp's support read as zero; a longer prefix is cut
+        seq = _mapped(seq, "difference",
+                      lambda f, d: f.map(lambda ns: differences(_fit(ns, d + 1))), 1,
+                      lambda b: b, lambda c, r: (c * (r - 1), r))
     return seq
 
 
@@ -535,7 +508,7 @@ def _image(op: TriOp, seq: Seq, grow: Optional[Callable[[int], int]] = None) -> 
     """Image of seq under an operator with finite lookahead, or of a
     ``FinSupp`` with ``grow`` under one with a finite lower band: a prefix
     reads the input prefix once and runs the kernel (see :func:`_mapped`)."""
-    return _mapped(seq, op, lambda f, d: _row_sums(op, f, d), op.band.above, grow)
+    return _mapped(seq, f"{op.label}·seq", lambda f, d: _row_sums(op, f, d), op.band.above, grow)
 
 
 class InvarianceReport(Record):

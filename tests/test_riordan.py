@@ -223,20 +223,3 @@ def test_packed_pd_rows_hold_the_largest_table_entries():
             row = (xs + [0] * depth)[:depth]
             m = max(map(abs, row), default=0).bit_length()
             assert _packed_pd_rows(row, -(-(m + depth) // 8) or 1) == want, (xs, depth)
-
-
-def test_a_repeated_chain_pair_makes_no_substitution(monkeypatch):
-    calls = []
-    real = riordan._substitute
-    monkeypatch.setattr(riordan, "_substitute", lambda f, h: calls.append(1) or real(f, h))
-    first = riordan.pair(op_power(make_operator("P"), 32))
-    calls.clear()
-    assert riordan.pair(op_power(make_operator("P"), 32)) == first
-    assert calls == []
-
-
-def test_the_product_cache_is_bounded():
-    one, p = (1,), riordan.PAIRS["P"]
-    for n in range(2 * riordan._PRODUCTS_MAX):
-        riordan._product(p, ((one, (1, -n)), ((0, 1), (1, -n))))
-        assert len(riordan._PRODUCTS) <= riordan._PRODUCTS_MAX

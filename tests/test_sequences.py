@@ -17,7 +17,7 @@ from pascalinv.errors import (
     UnsupportedSequenceError,
 )
 from pascalinv.operators import TriOp, lin_comb, make_operator, op_power, pd, ptd
-from pascalinv.scalars import QuadExt, binomial, exact_div
+from pascalinv.scalars import QuadExt, binomial
 from pascalinv.sequences import (
     TAU1,
     TAU2,
@@ -958,46 +958,3 @@ def test_riordan_rules_on_a_quadext_free_field_prefix(name):
     untagged = TriOp(op.band, op.entry, op.label)
     x = shift_down(FinSupp([QuadExt(0, 1, 5), 1]))
     assert repr(apply_finite(op, x, 3)) == repr(apply_finite(untagged, x, 3))
-
-
-def _jinv_by_division(xs, depth, a):
-    """J(a)^-1 times xs by back-substitution, one field division per row."""
-    ys = [0] * (max(depth, len(xs)) + 1)
-    for i in range(len(xs) - 1, -1, -1):
-        ys[i] = exact_div(xs[i] - ys[i + 1], a)
-    return ys[:depth]
-
-
-def test_jinv_over_one_field_divides_no_quadext(monkeypatch):
-    x = FinSupp([1, QuadExt(0, 1, 5), Fraction(1, 3), QuadExt(Fraction(1, 2), -2, 5), 4])
-    want = _jinv_by_division(list(x.terms), 7, 2)
-    calls = []
-    real = QuadExt.__truediv__
-    monkeypatch.setattr(QuadExt, "__truediv__",
-                        lambda self, other: calls.append(other) or real(self, other))
-    got = apply_upper(make_operator("Jinv", 2), x).prefix(7)
-    assert calls == []
-    assert repr(got) == repr(want)
-
-
-_RATS = st.fractions(min_value=-9, max_value=9, max_denominator=8)
-
-
-@st.composite
-def _one_label_prefixes(draw):
-    d = draw(st.sampled_from((2, 5, 13)))
-    term = st.one_of(st.integers(-9, 9), _RATS,
-                     st.builds(QuadExt, _RATS, _RATS, st.just(d)),
-                     st.builds(QuadExt, _RATS, st.just(0), st.just(d)))
-    xs = draw(st.lists(term, min_size=1, max_size=10))
-    at = draw(st.integers(0, len(xs) - 1))
-    xs[at] = draw(st.builds(QuadExt, _RATS, _RATS.filter(bool), st.just(d)))
-    return xs
-
-
-@given(xs=_one_label_prefixes(), a=st.one_of(st.integers(-9, 9), _RATS).filter(bool),
-       extra=st.integers(-3, 3))
-def test_jinv_rows_on_integer_halves_match_the_divisions(xs, a, extra):
-    depth = max(len(xs) + extra, 0)
-    got = rowrules._jinv_rows(xs, depth, a)
-    assert repr(got) == repr(_jinv_by_division(xs, depth, a))
