@@ -150,12 +150,13 @@ def check_basis_eigen(cfg: RunConfig):
 
 
 def check_basis_matrix_agreement(cfg: RunConfig):
+    # two closed forms per vector: the basis_vector rule (rows of N for the
+    # first kind, binomials for the second) against the matrix's Riordan pair
+    d = cfg.depth
     for space in _SPACES:
-        mat = eig.BASIS_MATRICES[space.kind, space.eigenvalue]()
-        for j in range(9):
-            vec = eig.basis_vector(space, j)
-            col = [mat.entry(i, j) for i in range(cfg.depth)]
-            yield prefix(vec, cfg.depth) == col
+        mat = truncate(eig.BASIS_MATRICES[space.kind, space.eigenvalue](), d, 9)
+        for j, col in enumerate(zip(*mat.data)):
+            yield tuple(prefix(eig.basis_vector(space, j), d)) == col
 
 
 _TABLE1_B = [

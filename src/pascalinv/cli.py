@@ -235,10 +235,19 @@ def cmd_apply(args) -> int:
     return EXIT_OK
 
 
+# the most entries one ``matrix`` block may hold; a larger one is refused
+# before any entry is computed (README, "Growth")
+_MATRIX_CAP = 2 ** 24
+
+
 def cmd_matrix(args) -> int:
     if args.rows < 1 or args.cols < 1:
         raise LiteralError("--rows and --cols must be >= 1")
     op = resolve_matrix(args.name)
+    size = args.rows * args.cols
+    if size > _MATRIX_CAP:
+        raise SupportCapError(f"a {args.rows} x {args.cols} block has {size} entries, "
+                              f"past the cap of {_MATRIX_CAP}")
     block = truncate(op, args.rows, args.cols)
     _show(args.format, lambda: {"label": op.label, "entries": block.to_jsonable()},
           lambda: [str(block)], lambda: [block.to_csv()])

@@ -26,6 +26,7 @@ from .operators import (
     transpose,
     truncate,
 )
+from .rowrules import Nums
 from .scalars import binomial, exact_div
 from .sequences import FIRST, SECOND, FinSupp, Lazy, Seq, prefix
 
@@ -174,7 +175,7 @@ def verify_block_diag(m: int) -> bool:
 
 def _riordan(op: TriOp, name: str) -> TriOp:
     # the tag names the (d, h) pair in riordan.PAIRS that gives the row rule of
-    # sequences._row_sums and truncates products of such arrays without entries
+    # sequences._row_sums and truncates such arrays, and their products, without entries
     return TriOp(op.band, op.entry, op.label, (name,))
 
 
@@ -241,7 +242,8 @@ def basis_vector(space: EigenSpaceId, j: int) -> Seq:
 
     The P^T D spaces have finitely supported bases, returned as explicit
     term tuples.  The P D spaces have infinite basis vectors, returned as
-    exact lazy oracles; callers choose how far to expand them.
+    lazy sequences whose prefixes are signed rows 2j and 2j+1 of N
+    (``n_row``); callers choose how far to expand them.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
@@ -251,15 +253,18 @@ def basis_vector(space: EigenSpaceId, j: int) -> Seq:
         return FinSupp(
             [0] * j + [binomial(j + 1, t) + binomial(j, t - 1) for t in range(j + 2)]
         )
-    if space.eigenvalue == 1:
-        return Lazy(
-            lambda i: (-1) ** i * (2 * _n_entry(2 * j, i) - _n_entry(2 * j + 1, i)),
-            label=f"E+1(PD) basis {j}",
-        )
-    return Lazy(
-        lambda i: (-1) ** (i + 1) * _n_entry(2 * j + 1, i),
-        label=f"E-1(PD) basis {j}",
-    )
+    sign = space.eigenvalue
+
+    def rows(depth):
+        # term i is (-1)^i (2 N[2j, i] - N[2j+1, i]) for +1, (-1)^(i+1) N[2j+1, i] for -1
+        s = max(depth, 2 * j + 2)  # n_row(r, s) needs r < s
+        odd = n_row(2 * j + 1, s)
+        col = odd if sign == -1 else [2 * a - b for a, b in zip(n_row(2 * j, s), odd)]
+        start = (1 + sign) // 2  # the odd terms change sign for +1, the even ones for -1
+        col[start::2] = [-t for t in col[start::2]]
+        return Nums(col, 1)
+
+    return Lazy(rows=rows, label=f"E{sign:+d}(PD) basis {j}")
 
 
 class CoordResult(Record):

@@ -59,8 +59,10 @@ class UnsupportedPairError(PascalinvError):
 
 
 class SupportCapError(PascalinvError):
-    """A pipeline would grow a finitely supported input past
-    ``transforms.SUPPORT_CAP`` terms and past twice its own support."""
+    """A request would pass a documented size cap: a pipeline would grow a
+    finitely supported input past ``transforms.SUPPORT_CAP`` terms and past
+    twice its own support, or a ``matrix`` block would hold more than
+    ``cli._MATRIX_CAP`` entries."""
 
 
 class NonIntegerSequenceError(PascalinvError):

@@ -5,7 +5,7 @@ metadata bounding its support.  Operators are never materialised; composition
 builds a new oracle whose inner summation range is finite by construction and
 records its two factors, so :func:`truncate` produces an exact finite block by
 multiplying finite blocks of the factors, or from the closed Riordan pair of
-the product when every factor has one.
+the operator when it has one (a table operator, or a product of them).
 """
 from __future__ import annotations
 
@@ -287,15 +287,15 @@ class DenseMat(Record):
 def truncate(op: TriOp, m: int, n: int) -> DenseMat:
     """Exact top-left m x n block of the operator.
 
-    A composition of Riordan arrays only (``riordan.PAIRS``: P, D, PD, L, Ω,
-    Q and the four eigenbasis matrices) is read column by column from the
-    closed pair of the product: an s x s block costs O(s^2) integer steps
-    and no entry call.  Any other composition is the product of its factors'
-    blocks, with the inner size set by the bands; any other operator fills
-    each row inside its band from ``entry``.  So an s x s block of a product
-    of f lower or upper factors costs O(f s^2) entry calls and at most
-    O(f s^3) scalar products, where the entry oracle of the same product
-    would sum O(s^(f+1)) terms.
+    An operator with a Riordan pair (``riordan.pair``: P, D, PD, L, Ω, Q,
+    the four eigenbasis matrices, and any composition of these) is read
+    column by column from that pair: an s x s block costs O(s^2) integer
+    steps and no entry call.  Any other composition is the product of its
+    factors' blocks, with the inner size set by the bands; any other
+    operator fills each row inside its band from ``entry``.  So an s x s
+    block of a product of f lower or upper factors costs O(f s^2) entry
+    calls and at most O(f s^3) scalar products, where the entry oracle of
+    the same product would sum O(s^(f+1)) terms.
     """
     if m < 1 or n < 1:
         raise ValueError("truncation dimensions must be >= 1")
@@ -305,16 +305,17 @@ def truncate(op: TriOp, m: int, n: int) -> DenseMat:
 def _block(op: TriOp, m: int, n: int) -> list:
     """Rows 0..m-1, columns 0..n-1 of op, as lists."""
     tag = op.tag
-    if tag and tag[0] == "compose":
+    if tag:
         from . import riordan
 
         rd = riordan.pair(op)
         if rd is not None:
             return riordan.block(rd, m, n)
-        _, left, right = tag
-        # inner indices past row m-1's band in left or column n-1's in right are zero
-        k = min(m + _or_end(left.band.above), n + _or_end(right.band.below))
-        return _product(_block(left, m, k), _block(right, k, n), n)
+        if tag[0] == "compose":
+            _, left, right = tag
+            # inner indices past row m-1's band in left or column n-1's in right are zero
+            k = min(m + _or_end(left.band.above), n + _or_end(right.band.below))
+            return _product(_block(left, m, k), _block(right, k, n), n)
     span, entry = op.band.span, op.entry
     rows = []
     for i in range(m):

@@ -11,9 +11,10 @@ group", 1991)::
 
     (d1, h1) · (d2, h2) = (d1 · d2(h1), h2(h1))
 
-so :func:`block` truncates a product of table operators column by column,
-``c_0 = d`` and ``c_{j+1} = c_j · h``, without multiplying the factors'
-blocks, and ``ROWS`` builds each pair's row rule for ``sequences._row_sums``.
+so :func:`block` truncates a table operator, or a product of them, column
+by column, ``c_0 = d`` and ``c_{j+1} = c_j · h``, with no entry call and
+without multiplying the factors' blocks, and ``ROWS`` builds each pair's row
+rule for ``sequences._row_sums``.
 """
 from __future__ import annotations
 

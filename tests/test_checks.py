@@ -14,7 +14,7 @@ from pascalinv.checks import (
     run_suite,
 )
 from pascalinv.eigenstructure import EigenSpaceId, basis_vector, factor_chain, make_M, make_N
-from pascalinv.operators import truncate
+from pascalinv.operators import TriOp, truncate
 from pascalinv.sequences import ExpComb, FinSupp, check_invariance, fibonacci, lucas, prefix
 from pascalinv.transforms import TRANSFORM_STAGES, Pipeline, converse_check, power_column
 
@@ -152,6 +152,35 @@ def test_stabilization_reads_no_closed_entry_and_no_factor_chain(monkeypatch):
     for depth in (2, 3, 32, 65):
         cases = list(check_stabilization(RunConfig(depth=depth)))
         assert len(cases) == 2 * depth and all(cases)
+
+
+@pytest.mark.parametrize("k, at", [(7, 20), (10, 11), (3, 31)])
+def test_the_eigen_suite_reads_the_first_kind_basis_from_the_rows_of_n(k, at, monkeypatch):
+    # row k of N feeds first-kind basis vector k // 2; its closed entries are
+    # independent of n_row, so both eigen checks see one perturbed entry
+    real = eig.n_row
+
+    def perturbed(r, s):
+        out = real(r, s)
+        out[at] += r == k
+        return out
+
+    monkeypatch.setattr(eig, "n_row", perturbed)
+    results = run_suite("eigen", RunConfig(depth=32))
+    assert [r.name for r in results if not r.passed] == ["basis-eigen", "basis-matrix-agreement"]
+
+
+def test_basis_matrix_agreement_reads_no_entry(monkeypatch):
+    def banned(*args):
+        raise AssertionError("read an entry")
+
+    guarded = {key: lambda op=make(): TriOp(op.band, banned, op.label, op.tag)
+               for key, make in eig.BASIS_MATRICES.items()}
+    monkeypatch.setattr(eig, "BASIS_MATRICES", guarded)
+    monkeypatch.setattr(eig, "_n_entry", banned)
+    for depth in (2, 9, 32):
+        cases = list(checks.check_basis_matrix_agreement(RunConfig(depth=depth)))
+        assert len(cases) == 36 and all(cases)
 
 
 @pytest.mark.parametrize("case, name", enumerate(("t42c", "t42d", "t42a", "t42b")))

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from pascalinv import cli
 from pascalinv.cli import main, parse_pipeline, parse_sequence
+from pascalinv.operators import DenseMat
 from pascalinv.scalars import scalar_from_json
 from pascalinv.sequences import ExpComb, FinSupp, prefix
 
@@ -135,6 +137,22 @@ def test_matrix_displays(capsys):
     assert out.splitlines()[0] == "2,1,0"
     code, _, err = run(capsys, "matrix", "Zorg")
     assert code == 2 and "unknown matrix" in err
+
+
+def test_matrix_refuses_a_block_past_the_entry_cap_before_truncating(capsys, monkeypatch):
+    blocks = []
+
+    def recorded(op, m, n):
+        blocks.append((m, n))
+        return DenseMat.identity(1)
+
+    monkeypatch.setattr(cli, "truncate", recorded)
+    for rows, cols in ((4096, 4096), (2 ** 24, 1), (1000000, 3)):  # at the cap and below it
+        assert run(capsys, "matrix", "P", "--rows", str(rows), "--cols", str(cols))[0] == 0
+    code, out, err = run(capsys, "matrix", "P", "--rows", "4096", "--cols", "4097")
+    assert (code, out) == (2, "")
+    assert err == "error: a 4096 x 4097 block has 16781312 entries, past the cap of 16777216\n"
+    assert blocks == [(4096, 4096), (2 ** 24, 1), (1000000, 3)]
 
 
 def test_matrix_json_round_trip(capsys):

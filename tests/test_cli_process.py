@@ -225,8 +225,9 @@ def _cap_memory_at_1_5_gb():
 
 
 # A depth that fits an index but not memory fails its first allocation.
-# `gen kseq` and `matrix --rows` at such sizes grow their work step by step
-# instead of failing one allocation, so they are left out here.
+# `gen kseq` at such sizes grows its work step by step instead of failing one
+# allocation, so it is left out here; `matrix` refuses a block past its entry
+# cap (below).
 @pytest.mark.parametrize(
     "argv",
     [
@@ -260,9 +261,22 @@ def test_runaway_pipeline_is_refused_up_front():
     assert "Traceback" not in proc.stderr
 
 
+def test_a_matrix_block_past_the_entry_cap_is_refused_up_front():
+    # 10^10 entries: the refusal comes before any entry is computed
+    start = time.perf_counter()
+    proc = _python("-m", "pascalinv", "matrix", "P", "--rows", "100000", "--cols", "100000",
+                   timeout=10, preexec_fn=_cap_memory_at_1_5_gb)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: a 100000 x 100000 block has 10000000000 entries, "
+                           "past the cap of 16777216\n")
+
+
 def test_riordan_module_loads_with_the_first_composed_truncation():
     # the first-kind checks of the benchmark's Q(√5) and rational shapes run PD's
-    # own row rule, so none of them loads the module
+    # own row rule, so none of them loads the module; truncating PD, a table
+    # operator, reads its pair and loads it
     code = (
         "import sys, pascalinv as pv\n"
         "from fractions import Fraction as F\n"
@@ -270,9 +284,8 @@ def test_riordan_module_loads_with_the_first_composed_truncation():
         "pv.check_invariance(pv.KSeq(), 'first', 32)\n"
         "pv.check_invariance(pv.ExpComb([(F(2), F(1, 3)), (F(2), F(2, 3))]), 'first', 32)\n"
         "pv.check_invariance(pv.FinSupp([1, F(1, 2)]), 'first', 32)\n"
-        "pv.truncate(pv.pd(), 4, 4)\n"
         "print('pascalinv.riordan' in sys.modules)\n"
-        "pv.truncate(pv.op_power(pv.pd(), 2), 4, 4)\n"
+        "pv.truncate(pv.pd(), 4, 4)\n"
         "print('pascalinv.riordan' in sys.modules)\n"
     )
     proc = _python("-c", code)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pascalinv import eigenstructure as eig
 from pascalinv.eigenstructure import (
     EigenSpaceId,
+    _n_entry,
     basis_vector,
     coords_first_kind,
     factor_chain,
@@ -178,6 +179,28 @@ def test_basis_matches_matrix_columns(op, ev):
     for j in range(7):
         vec = basis_vector(EigenSpaceId(op, ev), j)
         assert prefix(vec, 24) == [mat.entry(i, j) for i in range(24)]
+
+
+@pytest.mark.parametrize("ev", [1, -1])
+@pytest.mark.parametrize("first_read", ["term", "prefix"])
+def test_first_kind_basis_vectors_are_signed_rows_of_n(ev, first_read):
+    # the closed entries of N, read one index at a time, against the row rule
+    for j in range(16):
+        if ev == 1:
+            want = [(-1) ** i * (2 * _n_entry(2 * j, i) - _n_entry(2 * j + 1, i))
+                    for i in range(64)]
+        else:
+            want = [(-1) ** (i + 1) * _n_entry(2 * j + 1, i) for i in range(64)]
+        vec = basis_vector(EigenSpaceId("PD", ev), j)
+        if first_read == "term":  # the last term first, then the rest in order
+            last = vec.term(63)
+            got = [vec.term(i) for i in range(63)] + [last]
+        else:
+            got = prefix(vec, 64)
+        assert got == want, j
+        assert [vec.term(i) for i in range(64)] == want
+        assert {type(t) for t in got} == {int}
+        assert vec.label == f"E{ev:+d}(PD) basis {j}"
 
 
 @pytest.mark.parametrize("op,ev", list(MATRIX_FORMS))

@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 from pascalinv import riordan
-from pascalinv.eigenstructure import ptdown, qdown, qtdown00, zero_top_pdown
+from pascalinv.eigenstructure import make_M, make_N, ptdown, qdown, qtdown00, zero_top_pdown
 from pascalinv.operators import DenseMat, TriOp, compose, make_operator, op_power, pd, truncate
 from pascalinv.rowrules import ROW_RULES, _packed_pd_rows, _pd_rows
 from pascalinv.scalars import QuadExt
@@ -154,6 +154,25 @@ def test_truncating_the_inversion_products_calls_no_entry():
     ident = DenseMat.identity(128)
     assert truncate(op_power(pd_op, 2), 128, 128) == ident
     assert truncate(compose(dpd, p), 128, 128) == ident
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_OPS))
+def test_truncating_a_table_operator_reads_its_pair_and_no_entry(name):
+    op = TABLE_OPS[name]()
+    oracle = TriOp(op.band, op.entry, op.label)  # no tag: the entry path
+    for m, n in ((1, 1), (3, 9), (9, 3), (64, 64)):
+        assert truncate(_guarded(op), m, n) == truncate(oracle, m, n), (name, m, n)
+        assert truncate(oracle, m, n).data == tuple(map(tuple, entrywise(op, m, n)))
+
+
+@pytest.mark.parametrize("op", [
+    make_operator("PT"), make_operator("QT"), make_operator("A"), make_operator("J", 2),
+    make_operator("Jinv", 3), make_N(), make_M(),
+], ids=lambda op: op.label)
+def test_an_operator_outside_the_table_still_truncates_from_its_entries(op):
+    assert riordan.pair(op) is None
+    for m, n in ((1, 1), (3, 9), (9, 3), (24, 24)):
+        assert truncate(op, m, n).data == tuple(map(tuple, entrywise(op, m, n)))
 
 
 def _horner(name, xs, depth):

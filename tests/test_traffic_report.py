@@ -31,10 +31,12 @@ def test_traffic_report_names_the_workloads_that_enter_each_function():
     assert set(idle) <= set(rows)
     assert not any(workloads for name, workloads in rows.items() if name in idle)
     # the lines no workload runs, listed only in functions some workload
-    # enters: every denominator that the workloads' Riordan pairs divide by
-    # is 1 or 1 - z, so no workload runs _over's general recurrence; the
-    # packed PD rows serve rational-first
+    # enters: of the denominators that the workloads' Riordan pairs divide by,
+    # only L's 1 + z takes _over's general recurrence, in cli-commands'
+    # `matrix L --rows 1`, whose one row enters the loop but not its body;
+    # the packed PD rows serve rational-first
     assert not set(unrun) & set(idle) and set(unrun) <= set(rows)
-    assert "for k, c in enumerate(tail[:i], 1):" in unrun["riordan._over"]
+    assert "for k, c in enumerate(tail[:i], 1):" not in unrun["riordan._over"]
+    assert "x -= c * out[i - k]" in unrun["riordan._over"]
     assert "return _packed_pd_rows(row, w)" not in unrun.get("rowrules._pd_rows", [])
     assert "rational-first" in rows["rowrules._pd_rows"]

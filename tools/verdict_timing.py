@@ -17,8 +17,9 @@ Binet combination 2L - 3F (neither), L (invariant) and the lazy image
 for the finitely supported second-kind cases, ``PTD·(PTD·x) == x`` on a
 rational x of d/8 terms, and the ``phitilde(3)`` image of a 5-term rational
 x built and given its second-kind verdict inside the timed call; and the
-``NM-identity``, ``block-diag`` and ``stabilization`` checks at depth d,
-judged by ``all(check(RunConfig(depth=d)))``.  The table gives the minimum
+``NM-identity``, ``block-diag``, ``stabilization``, ``basis-eigen`` and
+``basis-matrix-agreement`` checks at depth d, judged by
+``all(check(RunConfig(depth=d)))``.  The table gives the minimum
 over N rounds in µs per call, and base/checkout when BASE is given.  Both
 trees must then give each input the same result; the script exits 1
 otherwise.
@@ -97,6 +98,9 @@ def cases(pv):
         "block-diag": (checks.RunConfig, lambda cfg, d: all(checks.check_block_diag(cfg))),
         "stabilization": (checks.RunConfig,
                           lambda cfg, d: all(checks.check_stabilization(cfg))),
+        "basis-eigen": (checks.RunConfig, lambda cfg, d: all(checks.check_basis_eigen(cfg))),
+        "basis-matrix-agreement": (checks.RunConfig,
+                                   lambda cfg, d: all(checks.check_basis_matrix_agreement(cfg))),
     }
 
 
