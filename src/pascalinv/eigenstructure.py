@@ -18,8 +18,6 @@ from .operators import (
     TriOp,
     banded,
     compose,
-    delete_leading,
-    downshift,
     make_operator,
     pd,
     ptd,
@@ -173,40 +171,37 @@ def verify_block_diag(m: int) -> bool:
     return all(block_diag_columns(2 * m))
 
 
-def _riordan(op: TriOp, name: str) -> TriOp:
-    # the tag names the (d, h) pair in riordan.PAIRS that gives the row rule of
-    # sequences._row_sums and truncates such arrays, and their products, without entries
-    return TriOp(op.band, op.entry, op.label, (name,))
-
-
 def ptdown() -> TriOp:
-    """Down-shifted transposed Pascal matrix; its columns span the +1 space of P^T D.
+    """Down-shifted transposed Pascal matrix, entry (i, j) = C(j, i-j); its
+    columns span the +1 space of P^T D.
 
     Column j is (z + z^2)^j."""
-    return _riordan(downshift(make_operator("PT")), "ptdown")
+    return TriOp(LOWER, lambda i, j: binomial(j, i - j), "P^T↓", ("ptdown",))
 
 
 def qtdown00() -> TriOp:
-    """Down-shifted Q^T with row 0 and column 0 removed; columns span the -1 space of P^T D.
+    """Down-shifted Q^T with row 0 and column 0 removed, entry (i, j) = Q[j+1, i-j];
+    columns span the -1 space of P^T D.
 
     Column j is (1 + 2z)(z + z^2)^j."""
-    return _riordan(delete_leading(downshift(make_operator("QT")), 1, 1), "qtdown00")
+    q = make_operator("Q").entry
+    return TriOp(LOWER, lambda i, j: q(j + 1, i - j), "Q^T↓(1|1)", ("qtdown00",))
 
 
 def qdown() -> TriOp:
-    """Down-shifted Q; its columns span the +1 space of P D.
+    """Down-shifted Q, entry (i, j) = Q[i-j, j]; its columns span the +1 space of P D.
 
     Column j is (2 - z)/(1 - z) (z^2/(1 - z))^j."""
-    return _riordan(downshift(make_operator("Q")), "qdown")
+    q = make_operator("Q").entry
+    return TriOp(LOWER, lambda i, j: q(i - j, j), "Q↓", ("qdown",))
 
 
 def zero_top_pdown() -> TriOp:
-    """Down-shifted Pascal matrix under one zero row, entry (i, j) = C(i-1-j, j) for
-    i > j; columns span the -1 space of P D.
+    """Down-shifted Pascal matrix under one zero row, entry (i, j) = C(i-1-j, j);
+    columns span the -1 space of P D.
 
     Column j is z/(1 - z) (z^2/(1 - z))^j."""
-    return TriOp(LOWER, lambda i, j: binomial(i - 1 - j, j) if i > j else 0, "J(0)^T·P↓",
-                 ("zero_top_pdown",))
+    return TriOp(LOWER, lambda i, j: binomial(i - 1 - j, j), "J(0)^T·P↓", ("zero_top_pdown",))
 
 
 # (kind, sign) -> the matrix whose columns span that eigenspace: the sign's

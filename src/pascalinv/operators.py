@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import sys
-from functools import reduce
 from typing import Callable, Optional
 
 from .errors import InfiniteSumError, Record
@@ -228,11 +227,16 @@ def delete_leading(op: TriOp, r: int, c: int) -> TriOp:
 
 
 def op_power(op: TriOp, n: int) -> TriOp:
+    """op**n by squaring, so its factors nest ⌈log2 n⌉ deep: the square of
+    op**(n//2), times op when n is odd (op·op·op for n = 3)."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    out = reduce(compose, [op] * n)
     if n == 1:
-        return out
+        return op
+    half = op_power(op, n // 2)
+    out = compose(half, half)
+    if n % 2:
+        out = compose(out, op)
     return TriOp(out.band, out.entry, f"({op.label})^{n}", out.tag)
 
 

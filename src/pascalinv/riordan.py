@@ -13,14 +13,14 @@ group", 1991)::
 
 so :func:`block` truncates a table operator, or a product of them, column
 by column, ``c_0 = d`` and ``c_{j+1} = c_j · h``, with no entry call and
-without multiplying the factors' blocks, and ``ROWS`` builds each pair's row
-rule for ``sequences._row_sums``.
+without multiplying the factors' blocks, and :func:`rows` gives the rows of
+such an operator times a sequence for ``sequences._row_sums``.
 """
 from __future__ import annotations
 
 from itertools import accumulate
 from math import gcd
-from typing import Callable, Optional
+from typing import Optional
 
 from .rowrules import _fit
 
@@ -45,14 +45,15 @@ PAIRS = {
 
 def pair(op) -> Optional[tuple]:
     """The ``(d, h)`` pair of op, if op is a table operator or a composition
-    of table operators only; otherwise ``None``."""
+    of table operators only; otherwise ``None``.  A factor on both sides of a
+    composition (a square, as ``op_power`` builds) is read once."""
     tag = op.tag
     if not tag:
         return None
     if tag[0] != "compose":
         return PAIRS.get(tag[0])
     left = pair(tag[1])
-    right = left and pair(tag[2])
+    right = left if tag[2] is tag[1] else left and pair(tag[2])
     return right and _product(left, right)
 
 
@@ -102,23 +103,20 @@ def block(rd: tuple, m: int, n: int) -> list:
     return [[*r, *pad] for r in zip(*cols)]
 
 
-def _rows(rd: tuple) -> Callable:
-    """The row rule of the Riordan array rd on integer prefixes (terms past
-    the end of xs read as zero): ``d · X(h) mod z**depth`` by Horner's rule,
-    with the lag (the order of h) and ``g = h / z**lag`` fixed once per pair."""
+def rows(rd: tuple, xs: list, depth: int) -> list:
+    """Rows 0..depth-1 of the Riordan array rd times the integer prefix xs
+    (terms past its end read as zero): ``d · X(h) mod z**depth`` by Horner's
+    rule, with h of order lag and ``g = h / z**lag``."""
     (dn, dd), (hn, hd) = rd
     lag = next(k for k, c in enumerate(hn) if c)
     g, gap = hn[lag:], [0] * (lag - 1)
-
-    def rows(xs: list, depth: int) -> list:
-        # s_j = x_j + h s_{j+1} mod z**(depth - lag j), so s_{j+1} mod z**m (its
-        # length from the second step on); x_j h**j reaches no row if lag j >= depth
-        s = [0] * depth
-        for j in range(min(len(xs), -(-depth // lag)) - 1, -1, -1):
-            m = max(depth - (j + 1) * lag, 0)
-            s = [xs[j], *gap, *_over(_times(s, g, m), hd)]
-        return _over(_times(s, dn, depth), dd)
-    return rows
+    # s_j = x_j + h s_{j+1} mod z**(depth - lag j), so s_{j+1} mod z**m (its
+    # length from the second step on); x_j h**j reaches no row if lag j >= depth
+    s = [0] * depth
+    for j in range(min(len(xs), -(-depth // lag)) - 1, -1, -1):
+        m = max(depth - (j + 1) * lag, 0)
+        s = [xs[j], *gap, *_over(_times(s, g, m), hd)]
+    return _over(_times(s, dn, depth), dd)
 
 
 def _times(xs: list, poly: tuple, m: int) -> list:
@@ -144,9 +142,6 @@ def _over(xs: list, den: tuple) -> list:
             x -= c * out[i - k]
         out.append(lead * x)
     return out
-
-
-ROWS = {head: _rows(rd) for head, rd in PAIRS.items()}
 
 
 def _mul(x: tuple, y: tuple) -> tuple:

@@ -5,7 +5,8 @@
 times the sequence whose prefix is xs (terms past its end read as zero),
 over any field, with the values and types of the entry sums
 ``sum_k entry(i, k) * x_k``, or as a ``Nums``.  A Riordan array with no rule
-here takes the rule of its pair, ``riordan.ROWS``, on integer prefixes.
+here, or a product of them, takes the rows of its pair, ``riordan.rows``, on
+integer prefixes.
 
 ``Nums`` is the one internal form of a prefix, from a term oracle or a
 ``FinSupp`` to a verdict; the helpers below step it through the package's

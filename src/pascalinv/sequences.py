@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, partial
 from math import gcd
 from operator import neg
 from typing import Callable, Optional
@@ -418,22 +418,23 @@ def _row_numerators(op: TriOp, xs: list, depth: int) -> tuple:
     """(ns, sums, den): xs[k] == ns[k] / den and row i of op times xs is
     sums[i] / den (see ``rowrules.rows_over``), ints when xs (maybe a
     ``Nums``) is rational; else (terms, rows, None).  The rows come from
-    the operator's rule in ``rowrules.ROW_RULES``; else from its Riordan
-    pair's in ``riordan.ROWS``, over Q(√d) on the integer halves of the terms
-    (``rowrules.field_rows``) when their ``QuadExt`` values carry one field
-    label; else from the entry sums over the band."""
+    the operator's rule in ``rowrules.ROW_RULES``; else, when the operator
+    has a Riordan pair (``riordan.pair``: a table operator or a product of
+    them), from ``riordan.rows``, over Q(√d) on the integer halves of the
+    terms (``rowrules.field_rows``) when their ``QuadExt`` values carry one
+    field label; else from the entry sums over the band."""
     held = _over_common_denominator(xs)
     ns, den = held.ns, held.den
     head = op.tag[0] if op.tag else None
     rule = ROW_RULES.get(head)
     if rule is not None:
         return ns, rule(ns, depth, *op.tag[1:]), den
-    if head:
-        from . import riordan
+    from . import riordan
 
-        rule = riordan.ROWS.get(head)
-    if rule is not None:
-        sums = rule(ns, depth) if den is not None else field_rows(rule, ns, depth, op.band.span)
+    rd = riordan.pair(op)
+    if rd is not None:
+        sums = (riordan.rows(rd, ns, depth) if den is not None
+                else field_rows(partial(riordan.rows, rd), ns, depth, op.band.span))
         if sums is not None:
             return ns, sums, den
     span, entry, n = op.band.span, op.entry, len(ns)

@@ -28,6 +28,7 @@ from pascalinv.operators import (
     DenseMat,
     TriOp,
     compose,
+    delete_leading,
     downshift,
     lin_comb,
     make_operator,
@@ -160,6 +161,16 @@ def test_closed_form_leaves_match_their_products():
     for leaf, product in pairs:
         assert leaf.band == product.band
         assert entrywise(leaf, 16, 16) == entrywise(product, 16, 16)
+    # the basis matrices against the shifts of P^T, Q^T and Q they were built from
+    chains = [
+        (ptdown(), downshift(pt)),
+        (qtdown00(), delete_leading(downshift(make_operator("QT")), 1, 1)),
+        (qdown(), downshift(make_operator("Q"))),
+    ]
+    for leaf, chain in chains:
+        assert (leaf.band, leaf.label) == (chain.band, chain.label)
+        typed = [[(type(v), v) for v in row] for row in entrywise(leaf, 40, 40).data]
+        assert typed == [[(type(v), v) for v in row] for row in entrywise(chain, 40, 40).data]
     assert pd().entry(5, 2) == 10 and pd().entry(5, 3) == -10
     assert ptd().entry(2, 5) == -10
     assert zero_top_pdown().entry(7, 2) == binomial(4, 2)

@@ -1,7 +1,7 @@
 """Riordan pairs of the Pascal-type operators: each pair against its entry
 oracle, closed products against the block product of entry oracles, the
-truncation of such products without entry calls, and PD's own row rule
-against its pair."""
+truncation of such products and the row sums of the kernel on them without
+entry calls, and PD's own row rule against its pair."""
 import random
 from fractions import Fraction
 from itertools import product
@@ -14,6 +14,7 @@ from pascalinv.eigenstructure import make_M, make_N, ptdown, qdown, qtdown00, ze
 from pascalinv.operators import DenseMat, TriOp, compose, make_operator, op_power, pd, truncate
 from pascalinv.rowrules import ROW_RULES, _packed_pd_rows, _pd_rows
 from pascalinv.scalars import QuadExt
+from pascalinv.sequences import FinSupp, _row_sums, apply_finite, lucas
 
 TABLE_OPS = {
     "P": lambda: make_operator("P"),
@@ -154,6 +155,48 @@ def test_truncating_the_inversion_products_calls_no_entry():
     ident = DenseMat.identity(128)
     assert truncate(op_power(pd_op, 2), 128, 128) == ident
     assert truncate(compose(dpd, p), 128, 128) == ident
+
+
+P, D = make_operator("P"), make_operator("D")
+
+# products of table operators, each factor passed through f
+PRODUCTS = {
+    "PD^2": lambda f: op_power(f(pd()), 2),
+    "D·P·D": lambda f: compose(f(D), compose(f(P), f(D))),
+    "P^3": lambda f: op_power(f(P), 3),
+    "Qdown·P": lambda f: compose(f(qdown()), f(P)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_the_kernel_reads_a_product_from_its_pair(name):
+    """_row_sums and apply_finite on a product of table operators take the rows
+    of its pair, with no entry call, and give the values and types of the
+    untagged product's entry sums on int, Fraction and one-field Q(√5) terms."""
+    op = PRODUCTS[name](_guarded)
+    real = PRODUCTS[name](lambda f: f)
+    untagged = TriOp(real.band, real.entry, real.label)
+    rng = random.Random(name)
+    for xs in (
+        [rng.randint(-9, 9) for _ in range(12)],
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(12)],
+        [QuadExt(Fraction(rng.randint(-9, 9), 2), rng.randint(1, 3), 5) for _ in range(12)],
+    ):
+        for depth in (0, 5, 12, 15):
+            assert repr(_row_sums(op, xs, depth)) == repr(_row_sums(untagged, xs, depth))
+        assert repr(apply_finite(op, FinSupp(xs), 15)) == repr(apply_finite(untagged, FinSupp(xs), 15))
+    assert repr(apply_finite(op, lucas(), 24)) == repr(apply_finite(untagged, lucas(), 24))
+
+
+def test_deep_powers_nest_by_squaring():
+    p = make_operator("P")
+    assert riordan.pair(op_power(p, 1200)) == (((1,), (1, -1200)), ((0, 1), (1, -1200)))
+    assert truncate(op_power(p, 5000), 4, 4)[3, 0] == 5000**3
+    # powers up to 3 keep the left-nested chain
+    x = make_operator("J", 2)
+    assert op_power(x, 2).tag == ("compose", x, x)
+    assert op_power(x, 3).tag == ("compose", compose(x, x), x)
+    assert op_power(x, 3).label == "(J(2))^3"
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_OPS))

@@ -16,11 +16,12 @@ Binet combination 2L - 3F (neither), L (invariant) and the lazy image
 ``shift_up(2L - 3F)``;
 for the finitely supported second-kind cases, ``PTD·(PTD·x) == x`` on a
 rational x of d/8 terms, and the ``phitilde(3)`` image of a 5-term rational
-x built and given its second-kind verdict inside the timed call; and the
-``NM-identity``, ``block-diag``, ``stabilization``, ``basis-eigen`` and
-``basis-matrix-agreement`` checks at depth d, judged by
-``all(check(RunConfig(depth=d)))``.  The table gives the minimum
-over N rounds in µs per call, and base/checkout when BASE is given.  Both
+x built and given its second-kind verdict inside the timed call; the
+kernel call of a projection stage, ``_row_sums(qdown(), x, d)`` on the form
+of an 8-term rational ``FinSupp``; and the ``NM-identity``, ``block-diag``,
+``stabilization``, ``basis-eigen`` and ``basis-matrix-agreement`` checks at
+depth d, judged by ``all(check(RunConfig(depth=d)))``.  The table gives the
+minimum over N rounds in µs per call, and base/checkout when BASE is given.  Both
 trees must then give each input the same result; the script exits 1
 otherwise.
 """
@@ -56,9 +57,10 @@ def cases(pv):
     public API, untimed, and judge(x, d) is the timed call."""
     transforms = importlib.import_module(pv.__name__ + ".transforms")
     checks = importlib.import_module(pv.__name__ + ".checks")
+    sequences = importlib.import_module(pv.__name__ + ".sequences")
     geom = ((Fraction(2), Fraction(-1, 3)), (Fraction(2), Fraction(4, 3)))
     finsupp = (Fraction(1, 2), Fraction(-2, 3), 5)
-    ptd = pv.ptd()
+    ptd, qdown = pv.ptd(), pv.qdown()
 
     def first(build):
         return lambda d: build(), lambda x, d: pv.check_invariance(x, "first", d)
@@ -72,6 +74,10 @@ def cases(pv):
 
     def phitilde3(x, d):
         return pv.check_invariance(transforms.build_phi(3, "tilde").apply(x), "second", d)
+
+    def qdown_rows(f, d):
+        rows = sequences._row_sums(qdown, f, d)
+        return rows.ns, rows.den
 
     return {
         "ExpComb 2(-1/3)^n+2(4/3)^n": first(lambda: pv.ExpComb(geom)),
@@ -89,6 +95,10 @@ def cases(pv):
         "phitilde(3) of a FinSupp, second kind": (
             lambda d: pv.FinSupp(finsupp + (Fraction(-1, 6), Fraction(3, 4))),
             phitilde3,
+        ),
+        "Qdown rows of an 8-term FinSupp form": (
+            lambda d: pv.FinSupp([Fraction(k - 3, k % 4 + 1) for k in range(8)])._held,
+            qdown_rows,
         ),
         "2L-3F, Q(√5)": first(binet),
         "L, Q(√5)": first(pv.lucas),
