@@ -52,6 +52,9 @@ def argvs():
         yield ["check", seq, "--kind", "first", "--depth", "8", "--format", fmt]
     for name, fmt in product(["P", "N", "J:2", "Jinv:1/2"], EVERY):
         yield ["matrix", name, "--rows", "5", "--cols", "4", "--format", fmt]
+    # the upper operators, at one entry and on wide and tall blocks
+    for name, (rows, cols), fmt in product(["PT", "QT", "A", "PTD"], [(1, 1), (3, 9), (9, 3)], EVERY):
+        yield ["matrix", name, "--rows", str(rows), "--cols", str(cols), "--format", fmt]
     for fmt in EVERY:
         yield ["table1", "--format", fmt]
     for seq, fmt in product(["lucas", "finsupp:[3,1,4]"], NO_CSV):  # a hit, a CacheMissError
