@@ -5,12 +5,15 @@ metadata bounding its support.  Operators are never materialised; composition
 builds a new oracle whose inner summation range is finite by construction and
 records its two factors, so :func:`truncate` produces an exact finite block by
 multiplying finite blocks of the factors, or from the closed Riordan pair of
-the operator when it has one (a table operator, or a product of them).
+the operator when it has one (a table operator, or a product of them).  A
+transpose (``PT``, ``QT`` and ``A`` among them) records its inner operator,
+and :func:`truncate` reads it as the inner block, transposed.
 """
 from __future__ import annotations
 
 import json
 import sys
+from operator import add
 from typing import Callable, Optional
 
 from .errors import InfiniteSumError, Record
@@ -48,16 +51,9 @@ def _or_end(bound: Optional[int]) -> int:
     return sys.maxsize if bound is None else bound
 
 
-def _bound_add(x: Optional[int], y: Optional[int]) -> Optional[int]:
-    if x is None or y is None:
-        return None
-    return x + y
-
-
-def _bound_max(x: Optional[int], y: Optional[int]) -> Optional[int]:
-    if x is None or y is None:
-        return None
-    return max(x, y)
+def _bound(f, x: Optional[int], y: Optional[int]) -> Optional[int]:
+    """f of two band sides, unbounded (``None``) when either side is."""
+    return None if x is None or y is None else f(x, y)
 
 
 class TriOp(Record):
@@ -86,20 +82,21 @@ class TriOp(Record):
 
 def _q_entry(i: int, j: int) -> int:
     # block sum P + (1 (+) P): the corner of the second block contributes 1 at (0, 0)
-    block = 1 if i == 0 and j == 0 else binomial(i - 1, j - 1)
+    block = 1 if i == j == 0 else binomial(i - 1, j - 1)
     return binomial(i, j) + block
 
 
-# name -> (band, entry, label) of every operator that takes no parameter
+# name -> (band, entry, label) of every operator that takes no parameter; a
+# transpose is (None, the name of the operator it transposes, label)
 _NAMED = {
     "P": (LOWER, lambda i, j: binomial(i, j), "P"),
-    "PT": (UPPER, lambda i, j: binomial(j, i), "P^T"),
+    "PT": (None, "P", "P^T"),
     "D": (banded(0, 0), lambda i, j: (-1) ** i if i == j else 0, "D"),
-    "A": (UPPER, lambda i, j: (-1) ** (j - i) if i <= j else 0, "A"),
+    "A": (None, "L", "A"),
     "L": (LOWER, lambda i, j: (-1) ** (i + j) if i >= j else 0, "L"),
     "Omega": (LOWER, lambda i, j: 1 if i >= j else 0, "Ω"),
     "Q": (LOWER, _q_entry, "Q"),
-    "QT": (UPPER, lambda i, j: _q_entry(j, i), "Q^T"),
+    "QT": (None, "Q", "Q^T"),
     "PD": (LOWER, lambda i, j: (-1) ** j * binomial(i, j), "PD"),
     "PTD": (UPPER, lambda i, j: (-1) ** j * binomial(j, i), "P^T D"),
 }
@@ -128,6 +125,8 @@ def make_operator(name: str, param: Scalar | None = None) -> TriOp:
     if name not in _NAMED:
         raise ValueError(f"unknown operator name: {name!r}")
     band, entry, label = _NAMED[name]
+    if band is None:  # transpose the table closure: one call less per entry
+        return _transposed(make_operator(entry), _NAMED[entry][1], label)
     return TriOp(band, entry, label, (name,))
 
 
@@ -142,12 +141,13 @@ def ptd() -> TriOp:
 
 
 def transpose(op: TriOp) -> TriOp:
-    inner = op.entry
-    return TriOp(
-        Band(op.band.above, op.band.below),
-        lambda i, j: inner(j, i),
-        f"{op.label}^T",
-    )
+    """op with rows and columns swapped, tagged ``("T", op)``: :func:`truncate`
+    reads its block as the block of op, transposed."""
+    return _transposed(op, op.entry, f"{op.label}^T")
+
+
+def _transposed(op: TriOp, entry: Callable[[int, int], Scalar], label: str) -> TriOp:
+    return TriOp(Band(op.band.above, op.band.below), lambda i, j: entry(j, i), label, ("T", op))
 
 
 def lin_comb(c1: Scalar, op1: TriOp, c2: Scalar, op2: TriOp) -> TriOp:
@@ -165,10 +165,8 @@ def lin_comb(c1: Scalar, op1: TriOp, c2: Scalar, op2: TriOp) -> TriOp:
         return f"+{format_scalar(c)}·{lab}"
 
     label = (term(c1, op1.label) + term(c2, op2.label)).lstrip("+")
-    band = Band(
-        _bound_max(op1.band.below, op2.band.below),
-        _bound_max(op1.band.above, op2.band.above),
-    )
+    band = Band(_bound(max, op1.band.below, op2.band.below),
+                _bound(max, op1.band.above, op2.band.above))
     return TriOp(band, entry, label)
 
 
@@ -195,7 +193,7 @@ def compose(left: TriOp, right: TriOp) -> TriOp:
             total += le(i, k) * re_(k, j)
         return total
 
-    band = Band(_bound_add(lb.below, rb.below), _bound_add(lb.above, rb.above))
+    band = Band(_bound(add, lb.below, rb.below), _bound(add, lb.above, rb.above))
     return TriOp(band, entry, f"{left.label}·{right.label}", ("compose", left, right))
 
 
@@ -294,7 +292,9 @@ def truncate(op: TriOp, m: int, n: int) -> DenseMat:
     An operator with a Riordan pair (``riordan.pair``: P, D, PD, L, Ω, Q,
     the four eigenbasis matrices, and any composition of these) is read
     column by column from that pair: an s x s block costs O(s^2) integer
-    steps and no entry call.  Any other composition is the product of its
+    steps and no entry call.  A transpose (``PT``, ``QT``, ``A`` and every
+    :func:`transpose`) is the block of its inner operator, transposed, so
+    it is read from the inner pair when there is one.  Any other composition is the product of its
     factors' blocks, with the inner size set by the bands; any other
     operator fills each row inside its band from ``entry``.  So an s x s
     block of a product of f lower or upper factors costs O(f s^2) entry
@@ -307,9 +307,11 @@ def truncate(op: TriOp, m: int, n: int) -> DenseMat:
 
 
 def _block(op: TriOp, m: int, n: int) -> list:
-    """Rows 0..m-1, columns 0..n-1 of op, as lists."""
+    """Rows 0..m-1, columns 0..n-1 of op, as lists (tuples for a transpose)."""
     tag = op.tag
     if tag:
+        if tag[0] == "T":
+            return list(zip(*_block(tag[1], n, m)))
         from . import riordan
 
         rd = riordan.pair(op)
@@ -350,9 +352,6 @@ def _product(a, b, n: int) -> list:
         for x, span in zip(row, spans):
             if x and span:
                 lo, hi, ys = span
-                if hi - lo == 1:
-                    out[lo] += x * ys[0]
-                else:
-                    out[lo:hi] = [o + x * y if y else o for o, y in zip(out[lo:hi], ys)]
+                out[lo:hi] = [o + x * y if y else o for o, y in zip(out[lo:hi], ys)]
         rows.append(out)
     return rows

@@ -45,16 +45,18 @@ PAIRS = {
 
 def pair(op) -> Optional[tuple]:
     """The ``(d, h)`` pair of op, if op is a table operator or a composition
-    of table operators only; otherwise ``None``.  A factor on both sides of a
-    composition (a square, as ``op_power`` builds) is read once."""
-    tag = op.tag
-    if not tag:
-        return None
-    if tag[0] != "compose":
-        return PAIRS.get(tag[0])
-    left = pair(tag[1])
-    right = left if tag[2] is tag[1] else left and pair(tag[2])
-    return right and _product(left, right)
+    of table operators only; otherwise ``None``.  A chain's left factors
+    are walked in a loop, and a factor on both sides of a composition (a
+    square, as ``op_power`` builds) is read once."""
+    tag, spine = op.tag, []
+    while tag and tag[0] == "compose":
+        spine.append(tag)
+        tag = tag[1].tag
+    rd = tag and PAIRS.get(tag[0])
+    for _, left, right in reversed(spine):
+        right = rd if right is left else rd and pair(right)
+        rd = right and _product(rd, right)
+    return rd
 
 
 def _product(left: tuple, right: tuple) -> tuple:
@@ -171,8 +173,6 @@ def _reduce(num: tuple, den: tuple) -> tuple:
     is an exact power-series division, cut to the quotient's length; the
     signs are fixed last."""
     num, den = _strip(num), _strip(den)
-    if num == den:
-        return _ONE, _ONE
     # a monomial c z**k is prime to den, whose constant term is ±1
     g = _gcd(num, den) if len(den) > 1 and len(num) - num.count(0) > 1 else _ONE
     if len(g) > 1:

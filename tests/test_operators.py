@@ -86,13 +86,13 @@ def test_jinv_requires_nonzero_param():
 # (name, param) -> (label, tag, (band.below, band.above))
 NAMED_SNAPSHOT = {
     ("P", None): ("P", ("P",), (None, 0)),
-    ("PT", None): ("P^T", ("PT",), (0, None)),
+    ("PT", None): ("P^T", ("T", make_operator("P")), (0, None)),
     ("D", None): ("D", ("D",), (0, 0)),
-    ("A", None): ("A", ("A",), (0, None)),
+    ("A", None): ("A", ("T", make_operator("L")), (0, None)),
     ("L", None): ("L", ("L",), (None, 0)),
     ("Omega", None): ("Ω", ("Omega",), (None, 0)),
     ("Q", None): ("Q", ("Q",), (None, 0)),
-    ("QT", None): ("Q^T", ("QT",), (0, None)),
+    ("QT", None): ("Q^T", ("T", make_operator("Q")), (0, None)),
     ("PD", None): ("PD", ("PD",), (None, 0)),
     ("PTD", None): ("P^T D", ("PTD",), (0, None)),
     ("J", 2): ("J(2)", ("J", 2), (0, 1)),

@@ -4,6 +4,7 @@ truncation of such products and the row sums of the kernel on them without
 entry calls, and PD's own row rule against its pair."""
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import comb
 
@@ -11,9 +12,11 @@ import pytest
 
 from pascalinv import riordan
 from pascalinv.eigenstructure import make_M, make_N, ptdown, qdown, qtdown00, zero_top_pdown
-from pascalinv.operators import DenseMat, TriOp, compose, make_operator, op_power, pd, truncate
+from pascalinv.operators import (
+    DenseMat, TriOp, compose, make_operator, op_power, pd, transpose, truncate,
+)
 from pascalinv.rowrules import ROW_RULES, _packed_pd_rows, _pd_rows
-from pascalinv.scalars import QuadExt
+from pascalinv.scalars import QuadExt, binomial
 from pascalinv.sequences import FinSupp, _row_sums, apply_finite, lucas
 
 TABLE_OPS = {
@@ -142,11 +145,18 @@ def test_a_factor_outside_the_table_has_no_pair():
     assert riordan.pair(compose(TriOp(p.band, p.entry, "P*"), p)) is None
 
 
-def _guarded(op):
-    def entry(i, j):
-        raise AssertionError(f"entry({i}, {j}) of {op.label} was called")
+def _guarded(op, seen=None):
+    """op with its entry made to raise, and so every operator its tag holds
+    (factors, an inner operator); an operator held twice is guarded once,
+    so a square stays a square."""
+    seen = {} if seen is None else seen
+    if id(op) not in seen:
+        def entry(i, j):
+            raise AssertionError(f"entry({i}, {j}) of {op.label} was called")
 
-    return TriOp(op.band, entry, op.label, op.tag)
+        tag = op.tag and tuple(_guarded(x, seen) if isinstance(x, TriOp) else x for x in op.tag)
+        seen[id(op)] = TriOp(op.band, entry, op.label, tag)
+    return seen[id(op)]
 
 
 def test_truncating_the_inversion_products_calls_no_entry():
@@ -188,6 +198,20 @@ def test_the_kernel_reads_a_product_from_its_pair(name):
     assert repr(apply_finite(op, lucas(), 24)) == repr(apply_finite(untagged, lucas(), 24))
 
 
+def test_a_long_chain_is_read_from_its_pair_without_recursing():
+    chain = reduce(compose, [make_operator("P")] * 1200)
+    assert truncate(chain, 3, 3).data == ((1, 0, 0), (1200, 1, 0), (1440000, 2400, 1))
+
+
+def test_a_square_reads_its_factor_once(monkeypatch):
+    calls = []
+    product = riordan._product
+    monkeypatch.setattr(riordan, "_product", lambda a, b: calls.append(1) or product(a, b))
+    assert truncate(op_power(make_operator("P"), 1200), 3, 3)[2, 0] == 1200**2
+    # 1200 = 0b10010110000: ten squarings and three odd steps
+    assert len(calls) == 13
+
+
 def test_deep_powers_nest_by_squaring():
     p = make_operator("P")
     assert riordan.pair(op_power(p, 1200)) == (((1,), (1, -1200)), ((0, 1), (1, -1200)))
@@ -206,6 +230,45 @@ def test_truncating_a_table_operator_reads_its_pair_and_no_entry(name):
     for m, n in ((1, 1), (3, 9), (9, 3), (64, 64)):
         assert truncate(_guarded(op), m, n) == truncate(oracle, m, n), (name, m, n)
         assert truncate(oracle, m, n).data == tuple(map(tuple, entrywise(op, m, n)))
+
+
+# every table operator (the four eigenbasis matrices among them) and three products
+TRANSPOSED = {**TABLE_OPS, "PD·PD": lambda: compose(pd(), pd()),
+              "(D·P·D)·P": lambda: compose(compose(D, compose(P, D)), P),
+              "P^3": lambda: op_power(P, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPOSED))
+def test_a_transpose_is_read_through_its_inner_block(name):
+    op = _guarded(TRANSPOSED[name]())
+    for m, n in ((1, 1), (3, 9), (9, 3), (64, 64)):
+        want = [list(col) for col in zip(*truncate(op, n, m).data)]
+        got = truncate(transpose(op), m, n)
+        assert got == DenseMat.from_rows(want), (name, m, n)
+        assert {type(x) for row in got.data for x in row} == {int}
+
+
+def _q(i, j):
+    # Q = P + (1 (+) P), entry by entry
+    return binomial(i, j) + (1 if i == j == 0 else binomial(i - 1, j - 1))
+
+
+# the entry closures the upper operators had before they were built as transposes
+UPPER_CLOSURES = {
+    "PT": lambda i, j: binomial(j, i),
+    "A": lambda i, j: (-1) ** (j - i) if i <= j else 0,
+    "QT": lambda i, j: _q(j, i),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UPPER_CLOSURES))
+def test_the_upper_operators_keep_their_entries_and_read_no_entry(name):
+    closure, op = UPPER_CLOSURES[name], make_operator(name)
+    for m, n in ((1, 1), (3, 9), (9, 3), (64, 64)):
+        want = [[closure(i, j) for j in range(n)] for i in range(m)]
+        got = truncate(_guarded(op), m, n)
+        assert repr(got.data) == repr(tuple(map(tuple, want))), (name, m, n)
+        assert repr(entrywise(op, m, n)) == repr(want)
 
 
 @pytest.mark.parametrize("op", [
