@@ -2,10 +2,10 @@
 
 A :class:`TriOp` is a pure function (i, j) -> scalar together with band
 metadata bounding its support.  Operators are never materialised; composition
-builds a new oracle whose inner summation range is finite by construction and
-records its two factors, so :func:`truncate` produces an exact finite block by
-multiplying finite blocks of the factors, or from the closed Riordan pair of
-the operator when it has one (a table operator, or a product of them).  A
+builds a new oracle whose inner summation range is finite by construction.  A
+product of two Riordan arrays keeps its reduced pair, and :func:`truncate`
+reads its block from that pair; any other product records its two factors,
+and :func:`truncate` multiplies their finite blocks.  A
 transpose (``PT``, ``QT`` and ``A`` among them) records its inner operator,
 and :func:`truncate` reads it as the inner block, transposed.
 """
@@ -175,8 +175,9 @@ def compose(left: TriOp, right: TriOp) -> TriOp:
 
     Legality is decided from the band metadata alone: the inner index is
     bounded above by ``i + left.above`` or ``j + right.below``, so at least
-    one of those must be finite.  The tag ``("compose", left, right)`` keeps
-    the factors for :func:`truncate`; ``entry`` sums one entry on its own.
+    one of those must be finite.  The tag is ``("riordan", reduced pair)``,
+    computed here once, when both factors have a pair (``riordan.pair``),
+    else ``("compose", left, right)``; ``entry`` sums one entry on its own.
     """
     lb, rb = left.band, right.band
     if lb.above is None and rb.below is None:
@@ -194,7 +195,14 @@ def compose(left: TriOp, right: TriOp) -> TriOp:
         return total
 
     band = Band(_bound(add, lb.below, rb.below), _bound(add, lb.above, rb.above))
-    return TriOp(band, entry, f"{left.label}·{right.label}", ("compose", left, right))
+    tag = ("compose", left, right)
+    if left.tag and right.tag:  # an untagged factor has no pair: riordan stays unloaded
+        from . import riordan
+
+        rd = riordan.pair(left), riordan.pair(right)
+        if all(rd):
+            tag = ("riordan", riordan._product(*rd))
+    return TriOp(band, entry, f"{left.label}·{right.label}", tag)
 
 
 def downshift(op: TriOp) -> TriOp:
@@ -225,8 +233,9 @@ def delete_leading(op: TriOp, r: int, c: int) -> TriOp:
 
 
 def op_power(op: TriOp, n: int) -> TriOp:
-    """op**n by squaring, so its factors nest ⌈log2 n⌉ deep: the square of
-    op**(n//2), times op when n is odd (op·op·op for n = 3)."""
+    """op**n by squaring, so entry closures nest ⌈log2 n⌉ deep: the square of
+    op**(n//2), times op when n is odd (op·op·op for n = 3).  Each step
+    reduces a Riordan pair; one whose h has order 2 doubles in degree."""
     if n < 1:
         raise ValueError("power must be >= 1")
     if n == 1:
@@ -290,16 +299,16 @@ def truncate(op: TriOp, m: int, n: int) -> DenseMat:
     """Exact top-left m x n block of the operator.
 
     An operator with a Riordan pair (``riordan.pair``: P, D, PD, L, Ω, Q,
-    the four eigenbasis matrices, and any composition of these) is read
-    column by column from that pair: an s x s block costs O(s^2) integer
-    steps and no entry call.  A transpose (``PT``, ``QT``, ``A`` and every
-    :func:`transpose`) is the block of its inner operator, transposed, so
-    it is read from the inner pair when there is one.  Any other composition is the product of its
-    factors' blocks, with the inner size set by the bands; any other
-    operator fills each row inside its band from ``entry``.  So an s x s
-    block of a product of f lower or upper factors costs O(f s^2) entry
-    calls and at most O(f s^3) scalar products, where the entry oracle of
-    the same product would sum O(s^(f+1)) terms.
+    the four eigenbasis matrices, and every product of these, which holds
+    its pair from :func:`compose`) is read column by column from that pair:
+    an s x s block costs O(s^2) integer steps and no entry call.  A
+    transpose (``PT``, ``QT``, ``A`` and every :func:`transpose`) is the
+    block of its inner operator, transposed.  Any other composition is the
+    product of its factors' blocks, with the inner size set by the bands;
+    any other operator fills each row inside its band from ``entry``.  So
+    an s x s block of a product of f lower or upper factors costs O(f s^2)
+    entry calls and at most O(f s^3) scalar products, where the entry
+    oracle of the same product would sum O(s^(f+1)) terms.
     """
     if m < 1 or n < 1:
         raise ValueError("truncation dimensions must be >= 1")

@@ -11,10 +11,10 @@ group", 1991)::
 
     (d1, h1) · (d2, h2) = (d1 · d2(h1), h2(h1))
 
-so :func:`block` truncates a table operator, or a product of them, column
-by column, ``c_0 = d`` and ``c_{j+1} = c_j · h``, with no entry call and
-without multiplying the factors' blocks, and :func:`rows` gives the rows of
-such an operator times a sequence for ``sequences._row_sums``.
+``operators.compose`` reduces a product's pair once, by :func:`_product`, and
+keeps it in its tag.  :func:`block` truncates an array column by column,
+``c_0 = d`` and ``c_{j+1} = c_j · h``, with no entry call, and :func:`rows`
+gives the rows of an array times a sequence for ``sequences._row_sums``.
 """
 from __future__ import annotations
 
@@ -44,19 +44,10 @@ PAIRS = {
 
 
 def pair(op) -> Optional[tuple]:
-    """The ``(d, h)`` pair of op, if op is a table operator or a composition
-    of table operators only; otherwise ``None``.  A chain's left factors
-    are walked in a loop, and a factor on both sides of a composition (a
-    square, as ``op_power`` builds) is read once."""
-    tag, spine = op.tag, []
-    while tag and tag[0] == "compose":
-        spine.append(tag)
-        tag = tag[1].tag
-    rd = tag and PAIRS.get(tag[0])
-    for _, left, right in reversed(spine):
-        right = rd if right is left else rd and pair(right)
-        rd = right and _product(rd, right)
-    return rd
+    """op's ``(d, h)``: ``PAIRS`` by its tag head, or the reduced pair that
+    ``operators.compose`` keeps in a product's tag; else ``None``."""
+    tag = op.tag
+    return tag and (tag[1] if tag[0] == "riordan" else PAIRS.get(tag[0]))
 
 
 def _product(left: tuple, right: tuple) -> tuple:

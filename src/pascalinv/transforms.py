@@ -307,13 +307,13 @@ _CONVERSE_CLASSES = {
 
 
 def converse_check(y: Seq, base: str, depth: int) -> bool:
-    """Depth-bounded converse test: orthogonality to the columns of the base
-    matrix forces the predicted invariance class of y.
-
-    Checks columns 0..depth-1; when any of them fails the orthogonality
-    hypothesis the implication holds vacuously.  A ``True`` answer is
-    depth-bounded evidence, not a proof.
-    """
+    """Converse test: orthogonality to columns 0..depth-1 of the base matrix
+    forces the predicted invariance class of y.  A ``True`` from a column
+    that fails the hypothesis is exact (the implication holds vacuously).
+    For ``P±D`` a column at or past the support of y dots to 0, and the
+    class checked is second-kind on a ``FinSupp`` at depth >= its support,
+    so once depth >= the support both answers are exact.  For ``PT±D``
+    every other answer rests on the first depth columns and terms."""
     if base not in _CONVERSE_CLASSES:
         raise ValueError(f"base must be one of {sorted(_CONVERSE_CLASSES)}")
     if not isinstance(y, FinSupp) or y.support_bound == 0:

@@ -293,6 +293,23 @@ def test_riordan_module_loads_with_the_first_composed_truncation():
     assert proc.stdout.split() == ["False", "True"]
 
 
+def test_first_kind_checks_on_untagged_products_load_no_riordan():
+    # the rational first-kind shapes compose only untagged lin_combs (P±D to
+    # the third power at most), so compose never asks riordan for a pair
+    code = (
+        "import sys, pascalinv as pv\n"
+        "ys = [pv.power_column(b, n, 2) for b in ('P+D', 'P-D') for n in (1, 2, 3)]\n"
+        "ys += [pv.basis_vector(pv.EigenSpaceId('PD', 1), 3), pv.t42c(pv.KSeq()),\n"
+        "       pv.t42d(pv.Bernoulli())]\n"
+        "print(' '.join(pv.check_invariance(y, 'first', 24).verdict for y in ys))\n"
+        "print('pascalinv.riordan' in sys.modules)\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    verdicts = ["invariant"] * 3 + ["inverse-invariant"] * 3 + ["invariant"] * 2 + ["neither"]
+    assert proc.stdout.splitlines() == [" ".join(verdicts), "False"]
+
+
 def test_a_literal_past_the_int_str_digit_limit_round_trips():
     # 5,000 digits, past Python 3.11's default str -> int limit of 4300
     digits = "1" * 5000

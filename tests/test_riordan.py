@@ -69,6 +69,8 @@ SHAPES = [(1, 1), (1, 12), (12, 1), (5, 9), (9, 5), (12, 12)]
 def test_products_of_two_match_the_block_product_of_entry_oracles(left, right):
     op = compose(TABLE_OPS[left](), TABLE_OPS[right]())
     assert riordan.pair(op) is not None
+    # the product keeps its reduced pair
+    assert op.tag == ("riordan", riordan._product(riordan.PAIRS[left], riordan.PAIRS[right]))
     for m, n in SHAPES:
         assert truncate(op, m, n) == DenseMat.from_rows(oracle_block(op, m, n)), (m, n)
 
@@ -203,12 +205,72 @@ def test_a_long_chain_is_read_from_its_pair_without_recursing():
     assert truncate(chain, 3, 3).data == ((1, 0, 0), (1200, 1, 0), (1440000, 2400, 1))
 
 
+def test_a_right_nested_chain_is_read_from_its_pair_without_recursing():
+    chain = reduce(lambda right, left: compose(left, right), [make_operator("P")] * 1200)
+    assert truncate(chain, 3, 3).data == ((1, 0, 0), (1200, 1, 0), (1440000, 2400, 1))
+
+
+def test_a_long_chain_hashes_and_compares_without_recursing():
+    chain = reduce(compose, [make_operator("P")] * 1200)
+    assert isinstance(hash(chain), int)
+    assert chain == reduce(compose, [make_operator("P")] * 1200)
+
+
+IDENTITY = ((1,), (1,)), ((0, 1), (1,))
+
+
+@pytest.mark.parametrize("op, want", [
+    (compose(pd(), P), riordan.PAIRS["D"]),
+    (compose(P, compose(D, P)), riordan.PAIRS["D"]),
+    (op_power(compose(D, P), 2), IDENTITY),
+    (op_power(pd(), 2), IDENTITY),
+    (compose(pd(), qdown()), riordan.PAIRS["qdown"]),
+    # zero_top_pdown with its d negated
+    (compose(pd(), zero_top_pdown()), (((0, -1), (1, -1)), ((0, 0, 1), (1, -1)))),
+], ids=lambda v: getattr(v, "label", ""))
+def test_the_identities_are_exact_pair_equalities(op, want):
+    assert op.tag == ("riordan", want)
+    assert riordan.pair(op) == want
+
+
+def test_a_product_is_one_array_whatever_its_grouping():
+    left, right = compose(P, compose(D, P)), compose(compose(P, D), P)
+    assert left == right and hash(left) == hash(right)
+    assert left.tag == ("riordan", riordan.PAIRS["D"])
+
+
+def test_reading_a_product_computes_no_pair(monkeypatch):
+    products = [build(lambda f: f) for build in PRODUCTS.values()]
+    products += [reduce(compose, [P] * 40), op_power(P, 1200)]
+
+    def read_all():
+        return [(riordan.pair(op), truncate(op, 9, 9), _row_sums(op, [1, 2, 3], 9)) for op in products]
+
+    def banned(left, right):
+        raise AssertionError("a product's pair was computed when it was read")
+
+    want = read_all()
+    monkeypatch.setattr(riordan, "_product", banned)
+    assert read_all() == want
+
+
+@pytest.mark.parametrize("left, right", [
+    (P, make_operator("J", 2)), (make_operator("PT"), D),
+], ids=["P·J(2)", "P^T·D"])
+def test_a_product_with_a_factor_outside_the_table_keeps_its_factors(left, right):
+    op = compose(left, right)
+    assert op.tag == ("compose", left, right)
+    for m, n in SHAPES:
+        assert truncate(op, m, n).data == tuple(map(tuple, entrywise(op, m, n))), (m, n)
+
+
 def test_a_square_reads_its_factor_once(monkeypatch):
     calls = []
     product = riordan._product
     monkeypatch.setattr(riordan, "_product", lambda a, b: calls.append(1) or product(a, b))
     assert truncate(op_power(make_operator("P"), 1200), 3, 3)[2, 0] == 1200**2
-    # 1200 = 0b10010110000: ten squarings and three odd steps
+    # compose takes each product's pair as op_power builds it, and a square
+    # once; 1200 = 0b10010110000: ten squarings and three odd steps
     assert len(calls) == 13
 
 
